@@ -1,13 +1,17 @@
 """Left Leibniz algebras presented by structure constants.
 
-An algebra on an ordered basis b_0..b_{n-1} is a dense tensor c with
-b_i . b_j = sum_k c[i][j][k] b_k.  Antisymmetry is never assumed; Lie
-algebras are the special case where it holds.
+An algebra on an ordered basis b_0..b_{n-1} is a structure table: the
+constants c[i][j][k] with b_i . b_j = sum_k c[i][j][k] b_k, held both as
+the full tensor and as an index of its nonzero entries.  Products, the
+identity check and the other walks over the table iterate that index, so
+their cost follows the number of nonzero products rather than a power of
+the dimension.  Antisymmetry is never assumed; Lie algebras are the
+special case where it holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -18,7 +22,6 @@ from .exactlin import (
     Vector,
     as_scalar,
     as_vector,
-    vec_add,
 )
 
 _ZERO = Fraction(0)
@@ -71,12 +74,22 @@ class ViolationReport:
         return self.ok
 
 
+# The nonzero (k, c) pairs of one basis product, in increasing k.
+Pairs = tuple[tuple[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class StructureTable:
-    """The tensor c[i][j][k] of basis products b_i . b_j = sum_k c[i][j][k] b_k."""
+    """The tensor c[i][j][k] of basis products b_i . b_j = sum_k c[i][j][k] b_k.
+
+    ``nonzero[i]`` maps each j with b_i . b_j != 0, in increasing j, to
+    that product's nonzero (k, c) pairs.  It is built once, here, and is
+    left out of ``==``, ``hash`` and ``repr``, which see only ``c``.
+    """
 
     dim: int
     c: tuple[tuple[Vector, ...], ...]
+    nonzero: tuple[dict[int, Pairs], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.dim
@@ -84,6 +97,15 @@ class StructureTable:
             len(plane) != n or any(len(row) != n for row in plane) for plane in self.c
         ):
             raise ValueError("structure tensor shape differs from dim")
+        index = []
+        for plane in self.c:
+            products = {}
+            for j, row in enumerate(plane):
+                pairs = tuple((k, e) for k, e in enumerate(row) if e)
+                if pairs:
+                    products[j] = pairs
+            index.append(products)
+        object.__setattr__(self, "nonzero", tuple(index))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Sequence[object]]]) -> "StructureTable":
@@ -165,65 +187,80 @@ def product(alg: LeibnizAlgebra, x: Sequence[object], y: Sequence[object]) -> Ve
     if len(xv) != alg.dim or len(yv) != alg.dim:
         raise ValueError("vector length differs from algebra dimension")
     acc = [_ZERO] * alg.dim
-    c = alg.table.c
+    nonzero = alg.table.nonzero
     for i, xi in enumerate(xv):
-        if xi == 0:
+        if not xi:
             continue
-        plane = c[i]
-        for j, yj in enumerate(yv):
-            if yj == 0:
-                continue
-            f = xi * yj
-            for k, e in enumerate(plane[j]):
-                if e != 0:
+        for j, pairs in nonzero[i].items():
+            yj = yv[j]
+            if yj:
+                f = xi * yj
+                for k, e in pairs:
                     acc[k] += f * e
     return tuple(acc)
 
 
-def _scaled_table_row_sum(alg: LeibnizAlgebra, coeffs: Vector, side: str, other: int) -> Vector:
-    """sum_m coeffs[m] * (b_m . b_other) or (b_other . b_m), skipping zeros."""
-    acc = [_ZERO] * alg.dim
-    c = alg.table.c
-    for m, cm in enumerate(coeffs):
-        if cm == 0:
-            continue
-        row = c[m][other] if side == "left" else c[other][m]
-        for k, e in enumerate(row):
-            if e != 0:
-                acc[k] += cm * e
+# A term list [(a, pairs), ...] stands for the sparse vector
+# sum of a * pairs over its terms.
+
+def _dense_sum(n: int, terms: Iterable[tuple[Fraction, Pairs]]) -> Vector:
+    acc = [_ZERO] * n
+    for a, pairs in terms:
+        for k, e in pairs:
+            acc[k] += a * e
     return tuple(acc)
+
+
+def _sums_differ(lhs: Iterable[tuple[Fraction, Pairs]],
+                 rhs: Iterable[tuple[Fraction, Pairs]]) -> bool:
+    """Whether two term lists stand for different vectors."""
+    diff: dict[int, Fraction] = {}
+    for a, pairs in lhs:
+        for k, e in pairs:
+            diff[k] = diff.get(k, _ZERO) + a * e
+    for a, pairs in rhs:
+        for k, e in pairs:
+            diff[k] = diff.get(k, _ZERO) - a * e
+    return any(diff.values())
 
 
 def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     """Evaluate a(bc) = (ab)c + b(ac) on every basis triple.
 
     The report is empty exactly when the identity holds; otherwise it
-    lists each violating triple with both sides.
+    lists each violating triple, in (i, j, k) order, with both sides as
+    dense vectors.  A triple none of whose products b_i.b_j, b_j.b_k,
+    b_i.b_k is nonzero satisfies the identity and costs one lookup.
     """
     n = alg.dim
-    c = alg.table.c
+    nonzero = alg.table.nonzero
     violations = []
     for i in range(n):
+        row_i = nonzero[i]
         for j in range(n):
-            cij = c[i][j]
+            row_j = nonzero[j]
+            ij = row_i.get(j, ())
             for k in range(n):
-                lhs = _scaled_table_row_sum(alg, c[j][k], "right", i)
-                rhs = vec_add(
-                    _scaled_table_row_sum(alg, cij, "left", k),
-                    _scaled_table_row_sum(alg, c[i][k], "right", j),
-                )
-                if lhs != rhs:
-                    violations.append(Violation(i, j, k, lhs, rhs))
+                jk = row_j.get(k, ())
+                ik = row_i.get(k, ())
+                if not (ij or jk or ik):
+                    continue
+                # b_i(b_j b_k) against (b_i b_j)b_k + b_j(b_i b_k)
+                lhs = [(a, row_i.get(m, ())) for m, a in jk]
+                rhs = [(a, nonzero[m].get(k, ())) for m, a in ij]
+                rhs += [(a, row_j.get(m, ())) for m, a in ik]
+                if _sums_differ(lhs, rhs):
+                    violations.append(Violation(i, j, k, _dense_sum(n, lhs),
+                                                _dense_sum(n, rhs)))
     return ViolationReport(tuple(violations))
 
 
 def is_lie(alg: LeibnizAlgebra) -> bool:
     """Antisymmetry of the table; with the Leibniz identity this gives Jacobi."""
-    n = alg.dim
-    c = alg.table.c
-    for i in range(n):
-        for j in range(i, n):
-            if any(a != -b for a, b in zip(c[i][j], c[j][i])):
+    nonzero = alg.table.nonzero
+    for i, products in enumerate(nonzero):
+        for j, pairs in products.items():
+            if nonzero[j].get(i) != tuple((k, -e) for k, e in pairs):
                 return False
     return True
 
@@ -234,19 +271,15 @@ def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> LinearMap:
     if len(av) != alg.dim:
         raise ValueError("vector length differs from algebra dimension")
     n = alg.dim
-    c = alg.table.c
-    cols = []
-    for j in range(n):
-        acc = [_ZERO] * n
-        for i, ai in enumerate(av):
-            if ai == 0:
-                continue
-            for k, e in enumerate(c[i][j]):
-                if e != 0:
-                    acc[k] += ai * e
-        cols.append(acc)
-    rows = tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
-    return LinearMap(n, Matrix(n, n, rows))
+    nonzero = alg.table.nonzero
+    rows = [[_ZERO] * n for _ in range(n)]
+    for i, ai in enumerate(av):
+        if not ai:
+            continue
+        for j, pairs in nonzero[i].items():
+            for k, e in pairs:
+                rows[k][j] += ai * e
+    return LinearMap(n, Matrix(n, n, tuple(tuple(row) for row in rows)))
 
 
 def subspace_product(alg: LeibnizAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -302,14 +335,19 @@ def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matr
         proj_rows.append(tuple(row))
     projection = Matrix(q, n, tuple(proj_rows))
 
-    grid = []
-    for i in range(q):
-        plane = []
-        for j in range(q):
-            plane.append(projection.apply(alg.table.row(free[i], free[j])))
-        grid.append(tuple(plane))
+    # projection of each ambient basis vector, as (quotient index, coeff) pairs
+    images = [tuple((t, e) for t, e in enumerate(projection.column(k)) if e)
+              for k in range(n)]
+    position = {f: t for t, f in enumerate(free)}
+    products: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for ti, f in enumerate(free):
+        for j, pairs in alg.table.nonzero[f].items():
+            tj = position.get(j)
+            if tj is not None:
+                image = _dense_sum(q, ((e, images[k]) for k, e in pairs))
+                products[(ti, tj)] = dict(enumerate(image))
     qalg = LeibnizAlgebra(
-        StructureTable(q, tuple(grid)),
+        StructureTable.from_map(q, products),
         labels=[alg.labels[f] for f in free],
     )
     return qalg, projection, section

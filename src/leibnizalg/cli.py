@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import constructions
-from .algebra import check_left_leibniz, is_lie, product
+from .algebra import LeibnizIdentityError, check_left_leibniz, is_lie, product
 from .conjugacy import (
     DistinctnessError,
     InvarianceError,
@@ -297,6 +297,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DistinctnessError, InvarianceError) as exc:
         report.add_check("certificate", False, witness=str(exc))
+        print(report.render(args.fmt))
+        return EXIT_MATH
+    except LeibnizIdentityError as exc:
+        report.add_check("leibniz_identity", False,
+                         witness=_violation_payload(exc.report))
         print(report.render(args.fmt))
         return EXIT_MATH
     print(report.render(args.fmt))

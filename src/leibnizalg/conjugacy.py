@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, left_multiplication, product
+from .algebra import (
+    LeibnizAlgebra,
+    _dense_sum,
+    _sums_differ,
+    left_multiplication,
+    product,
+)
 from .exactlin import (
     LinearMap,
     NotNilpotentError,
@@ -95,13 +101,17 @@ def is_derivation(alg: LeibnizAlgebra, d: LinearMap) -> bool:
     if d.dim != alg.dim:
         raise ValueError("map dimension differs from algebra dimension")
     n = alg.dim
-    cols = [d.matrix.column(j) for j in range(n)]
+    nonzero = alg.table.nonzero
+    # d(b_j) as its nonzero (m, coeff) pairs
+    images = [tuple((m, e) for m, e in enumerate(d.matrix.column(j)) if e)
+              for j in range(n)]
     for i in range(n):
+        row_i = nonzero[i]
         for j in range(n):
-            lhs = d(alg.table.row(i, j))
-            rhs_left = product(alg, cols[i], alg.basis_vector(j))
-            rhs_right = product(alg, alg.basis_vector(i), cols[j])
-            if lhs != tuple(a + b for a, b in zip(rhs_left, rhs_right)):
+            lhs = [(e, images[k]) for k, e in row_i.get(j, ())]
+            rhs = [(e, nonzero[m].get(j, ())) for m, e in images[i]]
+            rhs += [(e, row_i.get(m, ())) for m, e in images[j]]
+            if _sums_differ(lhs, rhs):
                 return False
     return True
 
@@ -144,9 +154,11 @@ def exp_inner_automorphism(alg: LeibnizAlgebra, x) -> LinearMap:
     g = exp_nilpotent(inner_derivation(alg, x))
     n = alg.dim
     cols = [g.matrix.column(j) for j in range(n)]
-    for i in range(n):
+    images = [tuple((m, e) for m, e in enumerate(col) if e) for col in cols]
+    for i, products in enumerate(alg.table.nonzero):
         for j in range(n):
-            if g(alg.table.row(i, j)) != product(alg, cols[i], cols[j]):
+            image = _dense_sum(n, ((e, images[k]) for k, e in products.get(j, ())))
+            if image != product(alg, cols[i], cols[j]):
                 raise AssertionError("exponential is not an automorphism; "
                                      "the algebra is inconsistent")
     return g

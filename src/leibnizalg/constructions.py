@@ -155,8 +155,8 @@ def split_extension_zero_right(salg: LeibnizAlgebra, action: ModuleAction,
     n = sd + md
     grid = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
     for i in range(sd):
-        for j in range(sd):
-            for k, e in enumerate(salg.table.row(i, j)):
+        for j, pairs in salg.table.nonzero[i].items():
+            for k, e in pairs:
                 grid[i][j][k] = e
         rho = action.rho[i].matrix
         for j in range(md):

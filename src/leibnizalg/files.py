@@ -39,14 +39,18 @@ def str_to_scalar(s: str) -> Fraction:
     return value
 
 
+def _is_index(value: object) -> bool:
+    """A JSON integer; true and false are not indices even though
+    ``bool`` subclasses ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def serialize_algebra(alg: LeibnizAlgebra) -> dict:
-    table = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            row = alg.table.row(i, j)
-            targets = [[k, scalar_to_str(e)] for k, e in enumerate(row) if e != 0]
-            if targets:
-                table.append([i, j, targets])
+    table = [
+        [i, j, [[k, scalar_to_str(e)] for k, e in pairs]]
+        for i, products in enumerate(alg.table.nonzero)
+        for j, pairs in products.items()
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "dim": alg.dim,
@@ -61,7 +65,7 @@ def parse_algebra(data: object, validate: bool = True) -> LeibnizAlgebra:
     if data.get("format_version") != FORMAT_VERSION:
         raise AlgebraFileError(f"unsupported format_version {data.get('format_version')!r}")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_index(dim) or dim < 0:
         raise AlgebraFileError("dim must be a nonnegative integer")
     basis = data.get("basis")
     if (not isinstance(basis, list) or len(basis) != dim
@@ -73,7 +77,7 @@ def parse_algebra(data: object, validate: bool = True) -> LeibnizAlgebra:
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in raw_table:
         if (not isinstance(entry, list) or len(entry) != 3
-                or not isinstance(entry[0], int) or not isinstance(entry[1], int)
+                or not _is_index(entry[0]) or not _is_index(entry[1])
                 or not isinstance(entry[2], list)):
             raise AlgebraFileError(f"bad table entry {entry!r}")
         i, j, targets = entry
@@ -83,7 +87,7 @@ def parse_algebra(data: object, validate: bool = True) -> LeibnizAlgebra:
             raise AlgebraFileError(f"duplicate table entry for ({i},{j})")
         row: dict[int, Fraction] = {}
         for target in targets:
-            if not isinstance(target, list) or len(target) != 2 or not isinstance(target[0], int):
+            if not isinstance(target, list) or len(target) != 2 or not _is_index(target[0]):
                 raise AlgebraFileError(f"bad target {target!r} in entry ({i},{j})")
             k, coeff = target
             if not 0 <= k < dim:
@@ -120,7 +124,7 @@ def parse_subspace(data: object) -> Subspace:
     if data.get("format_version") != FORMAT_VERSION:
         raise AlgebraFileError(f"unsupported format_version {data.get('format_version')!r}")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_index(dim) or dim < 0:
         raise AlgebraFileError("dim must be a nonnegative integer")
     rows = data.get("rows")
     if not isinstance(rows, list):

@@ -161,9 +161,8 @@ def _whitehead_complement(alg: LeibnizAlgebra, rad: Subspace) -> Subspace:
     for i in range(q):
         for j in range(i + 1, q):
             target = product(alg, lifts[i], lifts[j])
-            for k, coeff in enumerate(qalg.table.row(i, j)):
-                if coeff != 0:
-                    target = vec_sub(target, tuple(coeff * e for e in lifts[k]))
+            for k, coeff in qalg.table.nonzero[i].get(j, ()):
+                target = vec_sub(target, tuple(coeff * e for e in lifts[k]))
             coords = rad.coordinates(target)
             assert coords is not None
             defects[(i, j)] = coords
@@ -172,15 +171,14 @@ def _whitehead_complement(alg: LeibnizAlgebra, rad: Subspace) -> Subspace:
     rows = []
     rhs = []
     for (i, j), defect in defects.items():
-        qrow = qalg.table.row(i, j)
+        qpairs = qalg.table.nonzero[i].get(j, ())
         for t in range(r):
             row = [_ZERO] * (q * r)
             for m in range(r):
                 row[j * r + m] += act[i].entries[t][m]
                 row[i * r + m] -= act[j].entries[t][m]
-            for k, coeff in enumerate(qrow):
-                if coeff != 0:
-                    row[k * r + t] -= coeff
+            for k, coeff in qpairs:
+                row[k * r + t] -= coeff
             rows.append(tuple(row))
             rhs.append(-defect[t])
     solved = solve_affine(Matrix(len(rows), q * r, tuple(rows)), tuple(rhs))
@@ -275,45 +273,43 @@ def module_complement(action: ModuleAction, kern: Subspace) -> Subspace:
     rows = []
     rhs = []
 
-    def add(row: tuple, b: Fraction) -> None:
-        key = (row, b)
+    def add(entries: dict[int, Fraction], b: Fraction) -> None:
+        # equal rows have equal nonzero entries; hashing those beats
+        # hashing every Fraction of an n*n-wide row
+        nonzero = sorted((t, e) for t, e in entries.items() if e)
+        key = (tuple((t, e.numerator, e.denominator) for t, e in nonzero), b)
         if key in seen:
             return
         seen.add(key)
-        rows.append(row)
+        row = [_ZERO] * (n * n)
+        for t, e in nonzero:
+            row[t] = e
+        rows.append(tuple(row))
         rhs.append(b)
 
     # image of the projection inside kern
     for w in annihilator.rows():
         for j in range(n):
-            row = [_ZERO] * (n * n)
-            for i, e in enumerate(w):
-                if e != 0:
-                    row[i * n + j] = e
-            add(tuple(row), _ZERO)
+            add({i * n + j: e for i, e in enumerate(w) if e}, _ZERO)
     # projection fixes kern pointwise
     for k in kern.rows():
         for i in range(n):
-            row = [_ZERO] * (n * n)
-            for j, e in enumerate(k):
-                if e != 0:
-                    row[i * n + j] = e
-            add(tuple(row), k[i])
+            add({i * n + j: e for j, e in enumerate(k) if e}, k[i])
     # projection commutes with every operator
     for m in action.rho:
         mat = m.matrix
         for i in range(n):
             for j in range(n):
-                row = [_ZERO] * (n * n)
+                entries: dict[int, Fraction] = {}
                 for t in range(n):
                     e = mat.entries[t][j]
-                    if e != 0:
-                        row[i * n + t] += e
+                    if e:
+                        entries[i * n + t] = entries.get(i * n + t, _ZERO) + e
                 for t in range(n):
                     e = mat.entries[i][t]
-                    if e != 0:
-                        row[t * n + j] -= e
-                add(tuple(row), _ZERO)
+                    if e:
+                        entries[t * n + j] = entries.get(t * n + j, _ZERO) - e
+                add(entries, _ZERO)
 
     solved = solve_affine(Matrix(len(rows), n * n, tuple(rows)), tuple(rhs))
     if solved is None:

@@ -12,11 +12,10 @@ from .algebra import (
     NotLieError,
     is_lie,
     is_subalgebra,
-    left_multiplication,
     quotient,
     subspace_product,
 )
-from .exactlin import Matrix, Subspace, kernel_basis, rref, subspace_sum, vec_add
+from .exactlin import Matrix, Subspace, kernel_basis, rref, subspace_sum
 
 _ZERO = Fraction(0)
 
@@ -56,12 +55,18 @@ def leibniz_kernel(alg: LeibnizAlgebra) -> Subspace:
     Computed by polarization as span{b_i.b_j + b_j.b_i : i <= j}, which
     equals the span of squares in characteristic zero.
     """
+    n = alg.dim
+    nonzero = alg.table.nonzero
     rows = []
-    c = alg.table.c
-    for i in range(alg.dim):
-        for j in range(i, alg.dim):
-            rows.append(vec_add(c[i][j], c[j][i]))
-    return Subspace(alg.dim, rows)
+    for i, products in enumerate(nonzero):
+        for j, pairs in products.items():
+            if j < i and i in nonzero[j]:
+                continue  # the pair (j, i) already gave this row
+            row = [_ZERO] * n
+            for k, e in pairs + nonzero[j].get(i, ()):
+                row[k] += e
+            rows.append(row)
+    return Subspace(n, rows)
 
 
 def derived_series(alg: LeibnizAlgebra, u: Subspace) -> DerivedSeries:
@@ -91,23 +96,21 @@ def killing_form(alg: LeibnizAlgebra) -> BilinearForm:
     if not is_lie(alg):
         raise NotLieError("Killing form of a non-Lie algebra")
     n = alg.dim
-    ads = [left_multiplication(alg, alg.basis_vector(i)).matrix for i in range(n)]
-    gram = []
+    c = alg.table.c
+    nonzero = alg.table.nonzero
+    # trace(ad b_i o ad b_j) = sum over s, r of c[i][s][r] * c[j][r][s]
+    gram = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            a, b = ads[i], ads[j]
+        for j in range(i, n):
+            cj = c[j]
             t = _ZERO
-            for r in range(n):
-                arow = a.entries[r]
-                for s, e in enumerate(arow):
-                    if e != 0:
-                        f = b.entries[s][r]
-                        if f != 0:
-                            t += e * f
-            row.append(t)
-        gram.append(tuple(row))
-    return BilinearForm(n, Matrix(n, n, tuple(gram)))
+            for s, pairs in nonzero[i].items():
+                for r, e in pairs:
+                    f = cj[r][s]
+                    if f:
+                        t += e * f
+            gram[i][j] = gram[j][i] = t
+    return BilinearForm(n, Matrix(n, n, tuple(tuple(row) for row in gram)))
 
 
 def _lie_radical(alg: LeibnizAlgebra) -> Subspace:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (
     LeibnizAlgebra,
@@ -22,9 +23,11 @@ from leibnizalg import (
     leibniz_kernel,
     product,
     quotient,
+    restrict_to_subalgebra,
+    soluble_radical,
     subspace_product,
 )
-from leibnizalg.exactlin import Matrix
+from leibnizalg.exactlin import Matrix, vec_add
 from leibnizalg.sampling import rational_vector
 
 F = Fraction
@@ -34,6 +37,124 @@ def mutate_entry(alg, i, j, k, value):
     grid = [[list(row) for row in plane] for plane in alg.table.c]
     grid[i][j][k] = F(value)
     return LeibnizAlgebra(StructureTable.from_rows(grid), validate=False)
+
+
+# --- dense reference evaluators ---------------------------------------------
+# Walk the full tensor c, independently of the table's nonzero index.
+
+def _dense_scaled_row_sum(c, coeffs, side, other):
+    """sum_m coeffs[m] * (b_m . b_other) or (b_other . b_m), skipping zeros."""
+    acc = [F(0)] * len(coeffs)
+    for m, cm in enumerate(coeffs):
+        if cm == 0:
+            continue
+        row = c[m][other] if side == "left" else c[other][m]
+        for k, e in enumerate(row):
+            if e != 0:
+                acc[k] += cm * e
+    return tuple(acc)
+
+
+def dense_identity_violations(alg):
+    """(i, j, k, lhs, rhs) for each basis triple where a(bc) != (ab)c + b(ac)."""
+    n = alg.dim
+    c = alg.table.c
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _dense_scaled_row_sum(c, c[j][k], "right", i)
+                rhs = vec_add(
+                    _dense_scaled_row_sum(c, c[i][j], "left", k),
+                    _dense_scaled_row_sum(c, c[i][k], "right", j),
+                )
+                if lhs != rhs:
+                    out.append((i, j, k, lhs, rhs))
+    return out
+
+
+def dense_product(alg, x, y):
+    n = alg.dim
+    c = alg.table.c
+    return tuple(
+        sum((F(x[i]) * y[j] * c[i][j][k] for i in range(n) for j in range(n)), F(0))
+        for k in range(n)
+    )
+
+
+def assert_checker_matches_oracle(alg):
+    report = check_left_leibniz(alg)
+    got = [(v.i, v.j, v.k, v.lhs, v.rhs) for v in report.violations]
+    assert got == dense_identity_violations(alg)
+    assert report.ok == (not got)
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(0, 5))
+    entries = st.integers(-2, 2)
+    grid = [[[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return StructureTable.from_rows(grid)
+
+
+# --- the nonzero index --------------------------------------------------
+
+def assert_index_matches_tensor(table):
+    for i in range(table.dim):
+        assert list(table.nonzero[i]) == sorted(table.nonzero[i])
+        for j in range(table.dim):
+            expected = tuple((k, e) for k, e in enumerate(table.c[i][j]) if e != 0)
+            assert table.nonzero[i].get(j, ()) == expected
+
+
+def test_index_matches_tensor_on_zoo(zoo):
+    for _, alg in zoo:
+        assert_index_matches_tensor(alg.table)
+
+
+def test_equal_tables_compare_and_hash_equal(sl2):
+    dense = StructureTable(3, sl2.table.c)
+    rows = StructureTable.from_rows([[list(r) for r in plane] for plane in sl2.table.c])
+    sparse = StructureTable.from_map(3, {
+        (i, j): dict(pairs)
+        for i, products in enumerate(sl2.table.nonzero)
+        for j, pairs in products.items()
+    })
+    for table in (dense, rows, sparse):
+        assert table == sl2.table
+        assert hash(table) == hash(sl2.table)
+        assert repr(table) == repr(sl2.table)
+        assert "nonzero" not in repr(table)
+    assert LeibnizAlgebra(sparse, labels=sl2.labels) == sl2
+    assert StructureTable.from_map(3, {}) != sl2.table
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_tables(), st.data())
+def test_sparse_walks_match_dense_on_random_tables(table, data):
+    assert_index_matches_tensor(table)
+    alg = LeibnizAlgebra(table, validate=False)
+    assert_checker_matches_oracle(alg)
+    n = table.dim
+    assert is_lie(alg) == all(
+        table.c[i][j][k] == -table.c[j][i][k]
+        for i in range(n) for j in range(n) for k in range(n)
+    )
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert product(alg, x, y) == dense_product(alg, x, y)
+    d = left_multiplication(alg, x)
+    for j in range(n):
+        assert d.matrix.column(j) == dense_product(alg, x, alg.basis_vector(j))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_checker_matches_oracle_on_zoo_mutants(zoo, data):
+    _, alg = data.draw(st.sampled_from(zoo))
+    i, j, k = (data.draw(st.integers(0, alg.dim - 1)) for _ in range(3))
+    mutant = mutate_entry(alg, i, j, k, data.draw(st.integers(-2, 2)))
+    assert_checker_matches_oracle(mutant)
 
 
 # --- product ------------------------------------------------------------
@@ -225,3 +346,18 @@ def test_quotient_by_kernel_is_lie(zoo):
     for _, alg in zoo:
         qalg, _, _ = quotient(alg, leibniz_kernel(alg))
         assert is_lie(qalg)
+
+
+def test_quotients_and_restrictions_satisfy_the_identity(zoo):
+    # Built from valid algebras, these can never break the identity;
+    # recheck that directly in case their construction stops validating.
+    for name, alg in zoo:
+        kern = leibniz_kernel(alg)
+        rad = soluble_radical(alg)
+        for ideal in (kern, rad):
+            qalg, _, _ = quotient(alg, ideal)
+            assert check_left_leibniz(qalg).ok, name
+            assert_index_matches_tensor(qalg.table)
+        for sub in (rad, Subspace.full(alg.dim), Subspace.zero(alg.dim)):
+            restricted = restrict_to_subalgebra(alg, sub)
+            assert check_left_leibniz(restricted).ok, name

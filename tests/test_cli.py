@@ -65,6 +65,36 @@ def test_non_canonical_scalar_rejected(sl2):
         parse_algebra(data)
 
 
+@pytest.mark.parametrize("path", [
+    ("table", 0, 0),
+    ("table", 0, 1),
+    ("table", 0, 2, 0, 0),
+])
+def test_boolean_index_rejected(sl2, path):
+    data = serialize_algebra(sl2)
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = True
+    with pytest.raises(AlgebraFileError):
+        parse_algebra(data)
+
+
+def test_boolean_subspace_dim_rejected():
+    with pytest.raises(AlgebraFileError):
+        parse_subspace({"format_version": "1", "dim": True, "rows": [["1"]]})
+
+
+def test_validate_boolean_dim_file(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"format_version": "1", "dim": True,
+                                "basis": ["a"], "table": []}))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "check usable_input: FAIL" in out
+
+
 def test_file_round_trip(tmp_path, sl2):
     path = tmp_path / "sl2.json"
     dump_algebra(sl2, path)
@@ -237,6 +267,26 @@ def test_conjugacy_non_complement(capsys, bundle_files):
                   "--complement-a", str(bundle_files["K"]),
                   "--complement-b", str(bundle_files["S1"]))
     assert code == 2
+
+
+def test_conjugacy_non_leibniz_algebra(capsys, tmp_path, bundle_files):
+    data = json.loads(bundle_files["algebra"].read_text())
+    for entry in data["table"]:
+        if entry[0] == 1 and entry[1] == 0:
+            entry[2][0][1] = "3"  # h.e = 3e
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "--format", "json", "conjugacy", str(path),
+                    "--complement-a", str(bundle_files["S"]),
+                    "--complement-b", str(bundle_files["S1"]))
+    assert code == 1
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"]] == ["leibniz_identity"]
+    check = report["checks"][0]
+    assert not check["passed"]
+    first = check["witness"][0]
+    assert len(first["triple"]) == 3
+    assert first["lhs"] != first["rhs"]
 
 
 # --- determinism ------------------------------------------------------------------------
