@@ -1,18 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Everything is built on :class:`fractions.Fraction`; there is no floating
-point anywhere.  Vectors are tuples of scalars, matrices are immutable
+Values are :class:`fractions.Fraction`; there is no floating point
+anywhere.  Vectors are tuples of scalars, matrices are immutable
 row-major grids, and a subspace always carries the unique reduced
 row echelon basis of its span, so two subspaces are equal as sets exactly
 when they compare equal structurally.
+
+Elimination runs on integers.  One kernel (``_echelon``) serves ``rref``,
+``Subspace``, ``kernel_basis`` and ``solve_affine``: each row is scaled
+once to its primitive integer multiple, kept as a sparse ``{column: int}``
+dict, and reduced by fraction-free row operations with the gcd content
+removed after every step.  Fractions are made only when the result is
+written back, one division by the pivot entry per entry.  The RREF is
+unique, so this gives the same bases, pivots and solutions as
+Gauss-Jordan over Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Sequence
+from itertools import repeat
+from math import factorial, gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -40,6 +50,13 @@ def as_scalar(value: object) -> Fraction:
 
 
 def as_vector(entries: Iterable[object]) -> Vector:
+    """Coerce entries to a tuple of rationals.
+
+    A tuple whose entries are all Fractions already is one, and is
+    returned as it is after a type check of each entry.
+    """
+    if type(entries) is tuple and all(map(isinstance, entries, repeat(Fraction))):
+        return entries
     return tuple(as_scalar(x) for x in entries)
 
 
@@ -157,45 +174,140 @@ class Matrix:
         return tuple(acc)
 
 
-def _rref_in_place(rows: list[list[Fraction]]) -> tuple[list[int], int]:
-    """Gauss-Jordan reduction; returns (pivot columns, rank)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        src = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if src is None:
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> Iterator[dict[int, int]]:
+    """Each nonzero row as its primitive integer multiple ``{column: int}``.
+
+    The row is multiplied by the lcm of its denominators and divided by
+    the gcd of the resulting numerators; zero rows are skipped.  Dense
+    rows usually repeat one zero object, so the last zero seen is skipped
+    by identity instead of by a call to ``Fraction.__bool__``.
+    """
+    zero = _ZERO
+    for row in rows:
+        nonzero = []
+        for c, x in enumerate(row):
+            if x is zero:
+                continue
+            if x:
+                nonzero.append((c, x.numerator, x.denominator))
+            else:
+                zero = x
+        if not nonzero:
             continue
-        rows[r], rows[src] = rows[src], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            inv = _ONE / p
-            rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f == 0:
-                continue
-            irow = rows[i]
-            for j in range(c, n_cols):
-                if prow[j] != 0:
-                    irow[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-    return pivots, r
+        den = lcm(*[q for _, _, q in nonzero])
+        if den == 1:
+            out = {c: v for c, v, _ in nonzero}
+        else:
+            out = {c: v * (den // q) for c, v, q in nonzero}
+        yield _make_primitive(out)
+
+
+def _make_primitive(r: dict[int, int]) -> dict[int, int]:
+    """Divide the integer row r, in place, by the gcd of its entries."""
+    g = gcd(*r.values())
+    if g > 1:
+        for c in r:
+            r[c] //= g
+    return r
+
+
+def _cancel(r: dict[int, int], p: int, d: int, e: dict[int, int]) -> dict[int, int]:
+    """Clear column p of r against the row e whose column-p entry is d.
+
+    Replaces r in place by the primitive part of (d·r − r[p]·e), with both
+    factors divided by gcd(d, r[p]).
+    """
+    f = r[p]
+    g = gcd(d, f)
+    a, b = d // g, f // g
+    if a != 1:
+        for c in r:
+            r[c] *= a
+    for c, v in e.items():
+        w = r.get(c, 0) - b * v
+        if w:
+            r[c] = w
+        else:
+            del r[c]
+    return _make_primitive(r)
+
+
+# One echelon row: (pivot column, pivot entry, primitive integer row).
+_Echelon = list[tuple[int, int, dict[int, int]]]
+
+
+def _echelon(rows: Iterable[dict[int, int]], stop_at: int = -1) -> _Echelon | None:
+    """Reduced row echelon form of the span of integer rows, kept integral.
+
+    Each incoming row is reduced against the echelon rows found so far,
+    its leading column becomes a new pivot, and that column is then
+    cleared from the earlier rows (fraction-free Gauss-Jordan with the
+    content removed after every step).  Every echelon row is zero in the
+    other pivot columns and starts at its own pivot, so dividing each by
+    its pivot entry gives the unique RREF whatever the input order.
+    Returns the rows sorted by pivot, or None as soon as a row leads in
+    column ``stop_at``.
+    """
+    found: dict[int, list] = {}   # pivot column -> [pivot entry, row]
+    for r in rows:
+        for p in [c for c in r if c in found]:
+            d, e = found[p]
+            _cancel(r, p, d, e)
+        if not r:
+            continue
+        p = min(r)
+        if p == stop_at:
+            return None
+        d = r[p]
+        for q, entry in found.items():
+            e = entry[1]
+            if p in e:
+                _cancel(e, p, d, r)
+                entry[0] = e[q]
+        found[p] = [d, r]
+    return [(p, d, e) for p, (d, e) in sorted(found.items())]
+
+
+def _fraction_entries(echelon: _Echelon) -> list[list[tuple[int, Fraction]]]:
+    """The echelon rows divided by their pivot entries, as (column, value)
+    pairs: the RREF rows, sparse."""
+    return [[(c, Fraction(v, d)) for c, v in e.items()] for _, d, e in echelon]
+
+
+def _dense(entries: Iterable[tuple[int, Fraction]], n_cols: int) -> Vector:
+    row = [_ZERO] * n_cols
+    for c, x in entries:
+        row[c] = x
+    return tuple(row)
+
+
+def _null_rows(echelon: _Echelon, n_cols: int) -> Iterator[dict[int, int]]:
+    """One integer null vector per free column f below ``n_cols``: 1 at f
+    and, at each pivot, minus the column-f entry of that pivot's RREF row,
+    scaled to integers."""
+    pivots = {p for p, _, _ in echelon}
+    by_col: dict[int, list[tuple[int, int, int]]] = {}
+    for p, d, e in echelon:
+        for c, v in e.items():
+            if c != p:
+                by_col.setdefault(c, []).append((p, d, v))
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        hits = by_col.get(f, ())
+        den = lcm(*[d for _, d, _ in hits])
+        row = {f: den}
+        for p, d, v in hits:
+            row[p] = -v * (den // d)
+        yield _make_primitive(row)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Unique reduced row echelon form of m, with pivot columns and rank."""
-    rows = [list(r) for r in m.entries]
-    pivots, rank = _rref_in_place(rows)
-    return (Matrix(m.rows, m.cols, tuple(tuple(r) for r in rows)),
-            tuple(pivots), rank)
+    echelon = _echelon(_integer_rows(m.entries))
+    rows = [_dense(entries, m.cols) for entries in _fraction_entries(echelon)]
+    rows += [(_ZERO,) * m.cols] * (m.rows - len(echelon))
+    return Matrix(m.rows, m.cols, tuple(rows)), tuple(p for p, _, _ in echelon), len(echelon)
 
 
 class Subspace:
@@ -203,21 +315,32 @@ class Subspace:
 
     The basis rows are the reduced row echelon form of any spanning set,
     with zero rows dropped, so equal subspaces have identical bases and
-    ``==`` decides equality of spans.
+    ``==`` decides equality of spans.  The nonzero entries of each basis
+    row are kept as well, for eliminating vectors against the basis.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_entries")
 
     def __init__(self, ambient_dim: int, spanning_rows: Iterable[Sequence[object]] = ()):
-        rows = [list(as_vector(r)) for r in spanning_rows]
+        rows = [as_vector(r) for r in spanning_rows]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("row length differs from ambient dimension")
-        pivots, rank = _rref_in_place(rows)
+        self._set(ambient_dim, _echelon(_integer_rows(rows)))
+
+    def _set(self, ambient_dim: int, echelon: _Echelon) -> None:
+        entries = _fraction_entries(echelon)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis",
-                           Matrix(rank, ambient_dim, tuple(tuple(r) for r in rows[:rank])))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "basis", Matrix(len(echelon), ambient_dim, tuple(
+            _dense(row, ambient_dim) for row in entries)))
+        object.__setattr__(self, "pivots", tuple(p for p, _, _ in echelon))
+        object.__setattr__(self, "_entries", entries)
+
+    @staticmethod
+    def _from_echelon(ambient_dim: int, echelon: _Echelon) -> "Subspace":
+        sub = Subspace.__new__(Subspace)
+        sub._set(ambient_dim, echelon)
+        return sub
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Subspace is immutable")
@@ -228,7 +351,8 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim).entries)
+        return Subspace._from_echelon(ambient_dim,
+                                      [(i, 1, {i: 1}) for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -243,40 +367,29 @@ class Subspace:
     def rows(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
-    def reduce(self, v: Sequence[object]) -> Vector:
-        """Residual of v after eliminating against the basis."""
+    def _eliminate(self, v: Sequence[object]) -> tuple[Vector, list[Fraction]]:
+        """(coefficients of v on the basis rows, residual of v)."""
         w = list(as_vector(v))
         if len(w) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        for row, p in zip(self.basis.entries, self.pivots):
-            f = w[p]
-            if f == 0:
-                continue
-            for j, e in enumerate(row):
-                if e != 0:
+        coeffs = tuple(w[p] for p in self.pivots)
+        for f, row in zip(coeffs, self._entries):
+            if f:
+                for j, e in row:
                     w[j] -= f * e
-        return tuple(w)
+        return coeffs, w
+
+    def reduce(self, v: Sequence[object]) -> Vector:
+        """Residual of v after eliminating against the basis."""
+        return tuple(self._eliminate(v)[1])
 
     def contains(self, v: Sequence[object]) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not any(self._eliminate(v)[1])
 
     def coordinates(self, v: Sequence[object]) -> Vector | None:
         """Coefficients of v over the basis rows, or None if v is outside."""
-        w = list(as_vector(v))
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length differs from ambient dimension")
-        coeffs = []
-        for row, p in zip(self.basis.entries, self.pivots):
-            f = w[p]
-            coeffs.append(f)
-            if f == 0:
-                continue
-            for j, e in enumerate(row):
-                if e != 0:
-                    w[j] -= f * e
-        if not vec_is_zero(tuple(w)):
-            return None
-        return tuple(coeffs)
+        coeffs, w = self._eliminate(v)
+        return None if any(w) else coeffs
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -298,52 +411,29 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space of m as a canonical subspace of Q^cols."""
-    reduced, pivots, rank = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    rows = []
-    for f in free_cols:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for t, p in enumerate(pivots):
-            v[p] = -reduced.entries[t][f]
-        rows.append(v)
-    return Subspace(m.cols, rows)
+    echelon = _echelon(_integer_rows(m.entries))
+    return Subspace._from_echelon(m.cols, _echelon(_null_rows(echelon, m.cols)))
 
 
 def solve_affine(a: Matrix, b: Sequence[object]) -> tuple[Vector, Subspace] | None:
     """Solve a @ x = b exactly.
 
     Returns (particular solution with every free variable set to zero,
-    kernel of a), or None when the system is inconsistent.
+    kernel of a), or None when the system is inconsistent.  Both are read
+    off the echelon form of the augmented rows [a | b].
     """
     bb = as_vector(b)
     if len(bb) != a.rows:
         raise ValueError("right-hand side length differs from row count")
-    aug = [list(r) + [c] for r, c in zip(a.entries, bb)]
-    pivots, _ = _rref_in_place(aug)
-    if a.cols in pivots:
+    n = a.cols
+    echelon = _echelon(_integer_rows((*r, c) for r, c in zip(a.entries, bb)), stop_at=n)
+    if echelon is None:
         return None
-    x = [_ZERO] * a.cols
-    for t, p in enumerate(pivots):
-        x[p] = aug[t][a.cols]
-    left = Matrix(a.rows, a.cols, tuple(tuple(r[: a.cols]) for r in aug))
-    hom = _kernel_from_rref(left, tuple(pivots))
-    return tuple(x), hom
-
-
-def _kernel_from_rref(reduced: Matrix, pivots: tuple[int, ...]) -> Subspace:
-    pivot_set = set(pivots)
-    rows = []
-    for f in range(reduced.cols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * reduced.cols
-        v[f] = _ONE
-        for t, p in enumerate(pivots):
-            v[p] = -reduced.entries[t][f]
-        rows.append(v)
-    return Subspace(reduced.cols, rows)
+    x = [_ZERO] * n
+    for p, d, e in echelon:
+        if n in e:
+            x[p] = Fraction(e[n], d)
+    return tuple(x), Subspace._from_echelon(n, _echelon(_null_rows(echelon, n)))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

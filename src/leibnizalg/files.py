@@ -18,6 +18,13 @@ from .exactlin import Subspace
 
 FORMAT_VERSION = "1"
 
+# Largest dim an algebra file may declare.  A table is held as a dense
+# dim³ tensor of Fractions (plus its nonzero index), allocated before any
+# other check: parsing a dim-128 table with no products peaks at 53 MB
+# and grows with dim³, so a few kilobytes of labels could otherwise ask
+# for gigabytes.  The benchmark ladder tops out at dim 48.
+MAX_DIM = 128
+
 
 class AlgebraFileError(ValueError):
     """Malformed algebra or subspace file."""
@@ -67,6 +74,8 @@ def parse_algebra(data: object, validate: bool = True) -> LeibnizAlgebra:
     dim = data.get("dim")
     if not _is_index(dim) or dim < 0:
         raise AlgebraFileError("dim must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise AlgebraFileError(f"dim {dim} exceeds the limit of {MAX_DIM}")
     basis = data.get("basis")
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):

@@ -9,6 +9,7 @@ import pytest
 from leibnizalg import counterexample
 from leibnizalg.cli import main
 from leibnizalg.files import (
+    MAX_DIM,
     AlgebraFileError,
     dump_algebra,
     dump_subspace,
@@ -93,6 +94,27 @@ def test_validate_boolean_dim_file(capsys, tmp_path):
     code, out = run(capsys, "validate", str(path))
     assert code == 2
     assert "check usable_input: FAIL" in out
+
+
+def _empty_table(dim):
+    return {"format_version": "1", "dim": dim,
+            "basis": [f"b{i}" for i in range(dim)], "table": []}
+
+
+def test_dim_at_the_limit_is_accepted():
+    assert parse_algebra(_empty_table(MAX_DIM), validate=False).dim == MAX_DIM
+
+
+def test_dim_above_the_limit_is_rejected(capsys, tmp_path):
+    # Only limit + 1: a broken guard must not be able to allocate much.
+    with pytest.raises(AlgebraFileError, match="exceeds the limit"):
+        parse_algebra(_empty_table(MAX_DIM + 1))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_empty_table(MAX_DIM + 1)))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "check usable_input: FAIL" in out
+    assert f"exceeds the limit of {MAX_DIM}" in out
 
 
 def test_file_round_trip(tmp_path, sl2):

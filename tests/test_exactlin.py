@@ -20,6 +20,7 @@ from leibnizalg import (
     subspace_intersection,
     subspace_sum,
 )
+from leibnizalg.exactlin import as_vector
 
 F = Fraction
 
@@ -41,6 +42,220 @@ def to_sympy(m: Matrix) -> sympy.Matrix:
     return sympy.Matrix(m.rows, m.cols,
                         [sympy.Rational(x.numerator, x.denominator)
                          for row in m.entries for x in row])
+
+
+def from_sympy(v) -> tuple:
+    return tuple(F(sympy.Rational(x).p, sympy.Rational(x).q) for x in v)
+
+
+# --- the Fraction Gauss-Jordan oracle ----------------------------------------
+#
+# The elimination kernel works on integer rows; this is the plain
+# Gauss-Jordan over Fractions it replaced.  The RREF is unique, so the two
+# must agree entry for entry on every input.
+
+def gauss_jordan(rows: list[list[F]]) -> list[int]:
+    """Reduce rows in place; returns the pivot columns."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        src = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def oracle_rref(m: Matrix):
+    rows = [list(r) for r in m.entries]
+    pivots = gauss_jordan(rows)
+    return rows, pivots
+
+
+def oracle_basis(rows) -> tuple:
+    reduced = [list(r) for r in rows]
+    rank = len(gauss_jordan(reduced))
+    return tuple(tuple(r) for r in reduced[:rank])
+
+
+def oracle_kernel(m: Matrix) -> tuple:
+    reduced, pivots = oracle_rref(m)
+    rows = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for t, p in enumerate(pivots):
+            v[p] = -reduced[t][f]
+        rows.append(v)
+    return oracle_basis(rows)
+
+
+def oracle_solve(m: Matrix, b):
+    aug = [list(r) + [F(c)] for r, c in zip(m.entries, b)]
+    pivots = gauss_jordan(aug)
+    if m.cols in pivots:
+        return None
+    x = [F(0)] * m.cols
+    for t, p in enumerate(pivots):
+        x[p] = aug[t][m.cols]
+    return tuple(x), oracle_kernel(m)
+
+
+def check_against_oracles(m: Matrix, b) -> None:
+    """rref, Subspace, kernel_basis and solve_affine against the
+    Gauss-Jordan oracle, and against sympy."""
+    reduced, pivots, rank = rref(m)
+    want_rows, want_pivots = oracle_rref(m)
+    assert [list(r) for r in reduced.entries] == want_rows
+    assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
+    assert pivots == tuple(want_pivots)
+    assert rank == len(want_pivots)
+    sym = to_sympy(m)
+    sym_rref, sym_pivots = sym.rref()
+    assert to_sympy(reduced) == sym_rref
+    assert pivots == tuple(sym_pivots)
+
+    span = Subspace(m.cols, m.entries)
+    assert span.rows() == oracle_basis(m.entries)
+    assert span.pivots == pivots
+
+    kern = kernel_basis(m)
+    assert kern.rows() == oracle_kernel(m)
+    assert kern == Subspace(m.cols, [from_sympy(v) for v in sym.nullspace()])
+
+    solved = solve_affine(m, b)
+    want = oracle_solve(m, b)
+    assert (solved is None) == (want is None)
+    if solved is not None:
+        assert solved[0] == want[0]
+        assert solved[1].rows() == want[1]
+    sym_b = sympy.Matrix(m.rows, 1, [sympy.Rational(x.numerator, x.denominator)
+                                     for x in b])
+    assert (solved is None) == (sym.row_join(sym_b).rank() > sym.rank())
+    if solved is not None:
+        x, hom = solved
+        assert m.apply(x) == tuple(b)
+        assert hom == kern
+        free = set(range(m.cols)) - set(pivots)
+        assert all(x[f] == 0 for f in free)
+
+
+def rhs_for(m: Matrix, data, values) -> tuple:
+    """Either m times a drawn vector (consistent) or a drawn vector."""
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(values, min_size=m.cols, max_size=m.cols))
+        return m.apply(x)
+    return tuple(data.draw(st.lists(values, min_size=m.rows, max_size=m.rows)))
+
+
+small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+mostly_zero = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), small)
+forty_bit = st.builds(F, st.integers(-(2 ** 40), 2 ** 40), st.integers(1, 2 ** 40))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Tall or wide, up to 10 x 12, mostly zero, some rows entirely zero."""
+    r, c = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    zero_row = st.just([F(0)] * c)
+    row = st.lists(mostly_zero, min_size=c, max_size=c)
+    return Matrix.from_rows(draw(st.lists(st.one_of(zero_row, row),
+                                          min_size=r, max_size=r)))
+
+
+@st.composite
+def wide_entry_matrices(draw):
+    """40-bit numerators and denominators, with duplicated and zero rows."""
+    c = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(forty_bit, min_size=c, max_size=c),
+                         min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        extra = (draw(st.sampled_from(rows)) if draw(st.booleans())
+                 else [F(0)] * c)
+        rows.insert(draw(st.integers(0, len(rows))), list(extra))
+    return Matrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_kernel_matches_oracles_on_sparse_matrices(m, data):
+    check_against_oracles(m, rhs_for(m, data, mostly_zero))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_entry_matrices(), st.data())
+def test_kernel_matches_oracles_on_40_bit_entries(m, data):
+    check_against_oracles(m, rhs_for(m, data, forty_bit))
+
+
+@pytest.mark.parametrize("m", [
+    Matrix.from_rows([], cols=0),
+    Matrix.from_rows([], cols=3),
+    Matrix.from_rows([[], []]),
+], ids=["0x0", "0x3", "2x0"])
+def test_kernel_on_empty_shapes(m):
+    check_against_oracles(m, (F(0),) * m.rows)
+    assert kernel_basis(m) == Subspace.full(m.cols)
+    assert Subspace(m.cols, m.entries) == Subspace.zero(m.cols)
+
+
+def test_inconsistent_zero_column_system():
+    assert solve_affine(Matrix.from_rows([[], []]), [F(0), F(1)]) is None
+
+
+def test_hilbert_8():
+    n = 8
+    h = Matrix.from_rows([[F(1, i + j + 1) for j in range(n)] for i in range(n)])
+    b = tuple(F((-1) ** i, i + 1) for i in range(n))
+    check_against_oracles(h, b)
+    reduced, pivots, rank = rref(h)
+    assert reduced == Matrix.identity(n) and rank == n
+    x, hom = solve_affine(h, b)
+    assert x == from_sympy(to_sympy(h).LUsolve(sympy.Matrix(
+        [sympy.Rational(v.numerator, v.denominator) for v in b])))
+    assert hom == Subspace.zero(n)
+
+
+def test_particular_solution_sets_free_variables_to_zero():
+    # pivots at columns 1 and 3; columns 0, 2, 4 are free
+    m = Matrix.from_rows([[0, 2, 4, 0, 6], [0, 1, 2, 3, 3]])
+    x, hom = solve_affine(m, [2, 7])
+    assert x == (F(0), F(1), F(0), F(2), F(0))
+    assert hom.dim == 3
+
+
+# --- as_vector ------------------------------------------------------------
+
+def test_as_vector_returns_an_exact_tuple_unchanged():
+    v = (F(1), F(-2, 3), F(0))
+    assert as_vector(v) is v
+
+
+def test_as_vector_coerces_other_input():
+    assert as_vector([1, "2/3", F(1, 2)]) == (F(1), F(2, 3), F(1, 2))
+    assert as_vector((1, F(2))) == (F(1), F(2))
+    assert as_vector([F(1), F(2)]) == (F(1), F(2))
+
+
+def test_as_vector_rejects_floats():
+    with pytest.raises(TypeError):
+        as_vector((F(1), 0.5))
+    with pytest.raises(TypeError):
+        as_vector([0.5])
 
 
 # --- rref ---------------------------------------------------------------
