@@ -138,8 +138,9 @@ class LeibnizAlgebra:
     """An algebra over Q with a fixed ordered basis and structure table.
 
     The left Leibniz identity is checked at construction unless
-    ``validate=False`` (used by the CLI path that must report violations
-    instead of refusing to build).
+    ``validate=False``: the CLI path that must report violations instead
+    of refusing to build, and quotients and restrictions, which inherit
+    the identity from the algebra they come from, pass it.
     """
 
     __slots__ = ("dim", "labels", "table")
@@ -283,11 +284,32 @@ def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> LinearMap:
 
 
 def subspace_product(alg: LeibnizAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Canonical span of all products of basis vectors of u with those of v."""
+    """Canonical span of all products of basis vectors of u with those of v.
+
+    Multiplies the sparse basis rows pairwise through the table's index.
+    """
     if u.ambient_dim != alg.dim or v.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
-    rows = [product(alg, x, y) for x in u.rows() for y in v.rows()]
-    return Subspace(alg.dim, rows)
+    n = alg.dim
+    nonzero = alg.table.nonzero
+    rows = []
+    for x in u.sparse_rows:
+        for y in v.sparse_rows:
+            acc: dict[int, Fraction] = {}
+            for i, xi in x:
+                products = nonzero[i]
+                for j, yj in y:
+                    pairs = products.get(j)
+                    if pairs:
+                        f = xi * yj
+                        for k, e in pairs:
+                            acc[k] = acc.get(k, _ZERO) + f * e
+            if acc:
+                row = [_ZERO] * n
+                for k, e in acc.items():
+                    row[k] = e
+                rows.append(row)
+    return Subspace(n, rows)
 
 
 def is_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> bool:
@@ -311,7 +333,8 @@ def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matr
     The quotient basis is the non-pivot coordinates of the ideal in index
     order, so the construction is deterministic.  Returns (quotient,
     projection, section) with projection composed with section equal to
-    the identity on the quotient.
+    the identity on the quotient.  The quotient of a Leibniz algebra
+    satisfies the identity, so it is built without rechecking it.
     """
     if ideal.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
@@ -349,6 +372,7 @@ def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matr
     qalg = LeibnizAlgebra(
         StructureTable.from_map(q, products),
         labels=[alg.labels[f] for f in free],
+        validate=False,
     )
     return qalg, projection, section
 
@@ -357,7 +381,8 @@ def restrict_to_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
     """The algebra induced on a subalgebra's canonical basis.
 
     Coordinates of the restricted algebra are coefficients over u's RREF
-    basis rows; map them back with ``u.basis``.
+    basis rows; map them back with ``u.basis``.  Like ``quotient``, the
+    result is built without rechecking the identity.
     """
     if not is_subalgebra(alg, u):
         raise NotASubalgebraError("restriction to a subspace that is not a subalgebra")
@@ -374,6 +399,7 @@ def restrict_to_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
     return LeibnizAlgebra(
         StructureTable(q, tuple(grid)),
         labels=[alg.labels[p] for p in u.pivots],
+        validate=False,
     )
 
 

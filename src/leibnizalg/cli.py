@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 mathematical failure (identity violation, no
-certificate), 2 usage or parse error.  Reports are emitted as text or
-JSON with a fixed key order; apart from the trailing elapsed-time field
-they are byte-stable for identical inputs.
+certificate, no verified complement), 2 usage or parse error.  Reports
+are emitted as text or JSON with a fixed key order; apart from the
+trailing elapsed-time field they are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .files import (
     scalar_to_str,
     serialize_subspace,
 )
-from .levi import leibniz_levi, verify_levi
+from .levi import LeviVerificationError, NoSolutionError, leibniz_levi, verify_levi
 from .sampling import rational_vector
 from .structure import derived_series, is_semisimple, leibniz_kernel, soluble_radical
 
@@ -163,7 +163,7 @@ def cmd_levi(args, report: _Report) -> int:
         report.add_check(name, passed)
     report.set_result("semisimple_part", _subspace_payload(decomposition.semisimple_part))
     report.set_result("radical", _subspace_payload(decomposition.radical))
-    return EXIT_OK if decomposition.witnesses.all_pass else EXIT_MATH
+    return EXIT_OK
 
 
 def cmd_example(args, report: _Report) -> int:
@@ -297,6 +297,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DistinctnessError, InvarianceError) as exc:
         report.add_check("certificate", False, witness=str(exc))
+        print(report.render(args.fmt))
+        return EXIT_MATH
+    except LeviVerificationError as exc:
+        for name, passed in exc.witnesses.as_dict().items():
+            report.add_check(name, passed)
+        print(report.render(args.fmt))
+        return EXIT_MATH
+    except NoSolutionError as exc:
+        report.add_check("complement_solve", False, witness=str(exc))
         print(report.render(args.fmt))
         return EXIT_MATH
     except LeibnizIdentityError as exc:

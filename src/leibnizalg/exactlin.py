@@ -367,6 +367,11 @@ class Subspace:
     def rows(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
+    @property
+    def sparse_rows(self) -> list[list[tuple[int, Fraction]]]:
+        """The basis rows as their nonzero (column, value) pairs; read only."""
+        return self._entries
+
     def _eliminate(self, v: Sequence[object]) -> tuple[Vector, list[Fraction]]:
         """(coefficients of v on the basis rows, residual of v)."""
         w = list(as_vector(v))

@@ -1,23 +1,31 @@
 """Shared fixtures: catalog algebras, bundles, a zoo of small valid
-algebras, and builders for Lie semidirect sums used as Levi test inputs."""
+algebras, builders for Lie semidirect sums used as Levi test inputs, and
+a hypothesis generator of valid Leibniz algebras with known radical and
+squares ideal."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from leibnizalg import (
     LeibnizAlgebra,
     Matrix,
     ModuleAction,
     StructureTable,
+    Subspace,
+    adjoint_module,
     counterexample,
+    product,
     simple_algebra,
     solve_affine,
     split_extension_zero_right,
 )
+from leibnizalg.constructions import _table_from_matrices
 from leibnizalg.exactlin import LinearMap
 
 F = Fraction
@@ -222,3 +230,107 @@ def zoo(sl2, so3, square_algebra, abelian2, nonabelian2, heisenberg, gl2_style,
         ("semidirect_sl2_adjointish", semidirect),
         ("mixed_radical", mixed_radical_algebra),
     ]
+
+
+@pytest.fixture(scope="session")
+def bundle_sl4():
+    """The dim-30 split extension of sl4 by its adjoint module, zero right
+    action: the sl3 bundle's construction one rank up."""
+    def unit(i, j):
+        return Matrix(4, 4, tuple(
+            tuple(F(int((r, c) == (i, j))) for c in range(4)) for r in range(4)
+        ))
+
+    mats = [unit(i, j) for i in range(4) for j in range(4) if i != j]
+    mats += [unit(i, i) - unit(i + 1, i + 1) for i in range(3)]
+    sl4 = LeibnizAlgebra(_table_from_matrices(mats))
+    return split_extension_zero_right(sl4, adjoint_module(sl4))
+
+
+def change_basis(alg: LeibnizAlgebra, g: Matrix, g_inv: Matrix) -> LeibnizAlgebra:
+    """The algebra on the basis f_a = sum_b g[b][a] e_b; a vector with old
+    coordinates x has new coordinates g_inv x."""
+    cols = [g.column(a) for a in range(alg.dim)]
+    return LeibnizAlgebra(StructureTable(alg.dim, tuple(
+        tuple(g_inv.apply(product(alg, x, y)) for y in cols) for x in cols
+    )))
+
+
+@dataclass(frozen=True)
+class KnownAlgebra:
+    """A generated algebra with the spans its construction predicts."""
+
+    alg: LeibnizAlgebra
+    radical: Subspace
+    squares: Subspace
+    irreps: tuple[int, ...]
+    lie: bool
+    square: bool
+
+
+@st.composite
+def leibniz_algebras(draw, max_dim=9):
+    """sl2 acting on 1-3 irreducibles V(m), m <= 2, with zero right action
+    (or, if ``lie``, as a Lie semidirect sum), optionally a pair t, z with
+    t.t = z as the only product, then a small-integer change of basis with
+    integer inverse.  The change of basis is a permutation and a few
+    shears, so most of the table stays zero and an example costs
+    milliseconds.
+
+    On the original basis the radical is everything after sl2, and the
+    squares ideal is z plus, with zero right action, the nontrivial V(m).
+    """
+    lie = draw(st.booleans())
+    square = draw(st.booleans())
+    room = max_dim - 3 - 2 * square
+    irreps = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(0, 2))
+        if sum(k + 1 for k in irreps) + m + 1 <= room:
+            irreps.append(m)
+    if not irreps:
+        irreps.append(0)
+    action = sl2_irrep(irreps[0])
+    for m in irreps[1:]:
+        action = direct_sum_actions(action, sl2_irrep(m))
+    if lie:
+        base = lie_semidirect(simple_algebra("sl2"), action)
+    else:
+        base = split_extension_zero_right(simple_algebra("sl2"), action)
+    n = base.dim + 2 * square
+    grid = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(base.dim):
+        for j in range(base.dim):
+            grid[i][j][:base.dim] = base.table.row(i, j)
+    if square:
+        grid[n - 2][n - 2][n - 1] = F(1)  # t.t = z
+    alg = LeibnizAlgebra(StructureTable.from_rows(grid))
+
+    # g = a permutation times up to n shears b_i += c b_j, c in -2..2:
+    # det g = +-1, so g_inv is integral too
+    order = draw(st.permutations(range(n)))
+    g = Matrix.from_rows([[int(j == order[i]) for j in range(n)] for i in range(n)])
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        shear = [[int(r == c) for c in range(n)] for r in range(n)]
+        shear[j][i] = draw(st.integers(-2, 2))
+        g = g @ Matrix.from_rows(shear)
+    g_inv = matrix_inverse(g)
+
+    def span(indices):
+        return Subspace(n, [g_inv.column(k) for k in indices])
+
+    module = []
+    start = 3
+    for m in irreps:
+        if m > 0 and not lie:
+            module += range(start, start + m + 1)
+        start += m + 1
+    return KnownAlgebra(
+        alg=change_basis(alg, g, g_inv),
+        radical=span(range(3, n)),
+        squares=span(module + ([n - 1] if square else [])),
+        irreps=tuple(irreps),
+        lie=lie,
+        square=square,
+    )

@@ -301,6 +301,17 @@ def test_subspace_product_monotone(sl2, bundle_sl2):
                 subspace_product(alg, small, v))
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_tables(), st.data())
+def test_subspace_product_matches_dense_products(table, data):
+    alg = LeibnizAlgebra(table, validate=False)
+    n = table.dim
+    spans = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=3)
+    u, v = Subspace(n, data.draw(spans)), Subspace(n, data.draw(spans))
+    expected = Subspace(n, [dense_product(alg, x, y) for x in u.rows() for y in v.rows()])
+    assert subspace_product(alg, u, v) == expected
+
+
 def test_zero_subspace_is_everything(sl2):
     zero = Subspace.zero(3)
     assert is_subalgebra(sl2, zero)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from leibnizalg import counterexample
+from leibnizalg import counterexample, levi
 from leibnizalg.cli import main
 from leibnizalg.files import (
     MAX_DIM,
@@ -232,6 +232,29 @@ def test_levi_gl2_style(capsys, tmp_path, gl2_style):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["semisimple_part"]["dim"] == 3
+
+
+def test_levi_failed_witness_is_reported(capsys, monkeypatch, bundle_files):
+    # a splitter that returns the radical instead of a complement
+    monkeypatch.setattr(levi, "_split", lambda alg, rad: rad)
+    code, out = run(capsys, "--format", "json", "levi", str(bundle_files["algebra"]))
+    assert code == 1
+    report = json.loads(out)
+    checks = {c["name"]: c["passed"] for c in report["checks"]}
+    assert checks == {"leibniz_identity": True, "sum_is_full": False,
+                      "intersection_is_zero": False, "closed_under_product": True,
+                      "complement_semisimple": False}
+    assert report["results"] == {}
+
+
+def test_levi_inconsistent_solve_is_reported(capsys, monkeypatch, bundle_files):
+    # a solve that finds the correction system inconsistent
+    monkeypatch.setattr(levi, "solve_affine", lambda a, b: None)
+    code, out = run(capsys, "--format", "json", "levi", str(bundle_files["algebra"]))
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"][-1] == {"name": "complement_solve", "passed": False,
+                                    "witness": "correction system is inconsistent"}
 
 
 # --- example ------------------------------------------------------------------------

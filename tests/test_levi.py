@@ -1,17 +1,19 @@
-"""The splitting pipeline: Lie Levi complements, module actions,
-equivariant complements, and the composed Leibniz decomposition."""
+"""The splitting recursion: Lie Levi complements, the correction solve
+over an abelian ideal, and the verified Leibniz decomposition."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from leibnizalg import (
     LeibnizAlgebra,
     ModuleAction,
     NoSolutionError,
+    NotAnIdealError,
     NotLieError,
-    NotReducedError,
     StructureTable,
     Subspace,
     is_lie,
@@ -19,9 +21,6 @@ from leibnizalg import (
     leibniz_kernel,
     leibniz_levi,
     lie_levi,
-    module_complement,
-    module_from_kernel,
-    quotient,
     restrict_to_subalgebra,
     soluble_radical,
     subspace_product,
@@ -29,12 +28,14 @@ from leibnizalg import (
     subspace_intersection,
     verify_levi,
 )
-from leibnizalg.exactlin import LinearMap, Matrix
+from leibnizalg import levi
+from leibnizalg.exactlin import Matrix
 from leibnizalg.levi import module_law_report
 
 from conftest import (
     conjugate_action,
     direct_sum_actions,
+    leibniz_algebras,
     lie_semidirect,
     random_invertible,
     sl2_irrep,
@@ -106,79 +107,80 @@ def test_nonabelian_radical_recursion(sl2):
     assert verify_levi(alg, s).all_pass
 
 
-# --- module_from_kernel -----------------------------------------------------
+# --- the complement as an acting algebra ----------------------------------------
 
 def test_bundle_action_is_two_adjoint_blocks(bundle_sl2, sl2):
-    act = module_from_kernel(bundle_sl2.L)
-    assert act.acting_dim == 3
-    assert act.space_dim == 6
-    for i in range(3):
+    # the module block left-annihilates, so each complement row (v, lam v')
+    # acts on the bundle as ad v on both blocks
+    comp = leibniz_levi(bundle_sl2.L).semisimple_part
+    for i, row in enumerate(comp.rows()):
+        assert row[i] == 1 and row[:3] == sl2.basis_vector(i)
         ad = left_multiplication(sl2, sl2.basis_vector(i)).matrix
         expected = Matrix.from_rows([
             list(ad.entries[r]) + [0, 0, 0] for r in range(3)
         ] + [
             [0, 0, 0] + list(ad.entries[r]) for r in range(3)
         ])
-        assert act.rho[i].matrix == expected
+        assert left_multiplication(bundle_sl2.L, row).matrix == expected
 
 
-def test_lie_algebra_with_zero_kernel_gives_adjoint(sl2):
-    act = module_from_kernel(sl2)
-    for i in range(3):
-        assert act.rho[i].matrix == left_multiplication(sl2, sl2.basis_vector(i)).matrix
+def test_lie_algebra_with_zero_kernel_gives_adjoint(sl2, monkeypatch):
+    # zero radical: the complement is everything and nothing is solved
+    def no_solve(*args):
+        raise AssertionError("no correction solve expected")
+    monkeypatch.setattr(levi, "solve_affine", no_solve)
+    comp = leibniz_levi(sl2).semisimple_part
+    assert comp == Subspace.full(3)
+    for i, row in enumerate(comp.rows()):
+        assert left_multiplication(sl2, row) == left_multiplication(sl2, sl2.basis_vector(i))
 
 
 def test_module_law_on_bundle(bundle_sl2):
-    act = module_from_kernel(bundle_sl2.L)
+    alg = bundle_sl2.L
+    comp = leibniz_levi(alg).semisimple_part
+    act = ModuleAction(3, 6, tuple(left_multiplication(alg, row) for row in comp.rows()))
     # rho(h)rho(e) - rho(e)rho(h) = 2 rho(e)
     e, h = act.rho[0].matrix, act.rho[1].matrix
     assert (h @ e) - (e @ h) == e.scale(F(2))
-    qalg, _, _ = quotient(bundle_sl2.L, leibniz_kernel(bundle_sl2.L))
-    assert module_law_report(qalg, act) == []
+    assert module_law_report(restrict_to_subalgebra(alg, comp), act) == []
 
 
-def test_not_reduced_case_rejected(gl2_style):
-    # kernel is zero but the radical is the center
-    with pytest.raises(NotReducedError):
-        module_from_kernel(gl2_style)
-
-
-# --- module_complement -------------------------------------------------------
+# --- the correction solve ----------------------------------------------------------
 
 def test_zero_subspace_complement_is_everything(sl2):
-    act = module_from_kernel(sl2)
-    assert module_complement(act, Subspace.zero(3)) == Subspace.full(3)
+    assert lie_levi(sl2) == Subspace.full(3)
+    assert levi._split(sl2, Subspace.zero(3)) == Subspace.full(3)
 
 
 def test_full_subspace_complement_is_zero(bundle_sl2):
-    act = module_from_kernel(bundle_sl2.L)
-    # the full space is invariant; its complement must be zero
-    assert module_complement(act, Subspace.full(6)) == Subspace.zero(6)
+    # the module block is an abelian algebra on its own: all radical
+    block = restrict_to_subalgebra(bundle_sl2.L, bundle_sl2.K)
+    assert levi._split(block, Subspace.full(3)) == Subspace.zero(3)
+    assert leibniz_levi(block).semisimple_part == Subspace.zero(3)
 
 
 def test_non_invariant_subspace_rejected(sl2):
-    act = module_from_kernel(sl2)
-    with pytest.raises(NoSolutionError):
-        module_complement(act, Subspace(3, [[1, 0, 0]]))  # ad_f(e) = -h escapes
+    with pytest.raises(NotAnIdealError):
+        levi._abelian_complement(sl2, Subspace(3, [[1, 0, 0]]))  # [f, e] = -h escapes
 
 
-def test_indecomposable_module_has_no_complement():
-    # one nilpotent Jordan block acting on the plane: the invariant line
-    # has no invariant complement, so the projection system is inconsistent
-    rho = LinearMap(2, Matrix.from_rows([[0, 1], [0, 0]]))
-    act = ModuleAction(1, 2, (rho,))
+def test_indecomposable_module_has_no_complement(heisenberg):
+    # the centre z = [x, y] is an abelian ideal, but no lift of the abelian
+    # quotient closes up, so the correction system is inconsistent
+    centre = Subspace(3, [[0, 0, 1]])
     with pytest.raises(NoSolutionError):
-        module_complement(act, Subspace(2, [[1, 0]]))
+        levi._abelian_complement(heisenberg, centre)
 
 
 def test_bundle_complement_properties(bundle_sl2):
     alg = bundle_sl2.L
-    act = module_from_kernel(alg)
-    comp = module_complement(act, bundle_sl2.K)
+    comp = leibniz_levi(alg).semisimple_part
+    assert comp == levi._abelian_complement(alg, bundle_sl2.K)
     assert subspace_sum(comp, bundle_sl2.K).is_full()
     assert subspace_intersection(comp, bundle_sl2.K).is_zero()
-    # invariance under every operator
-    for m in act.rho:
+    # invariance under left multiplication by every basis element
+    for i in range(alg.dim):
+        m = left_multiplication(alg, alg.basis_vector(i))
         for row in comp.rows():
             assert comp.contains(m(row))
     # closure under the product makes it a subalgebra
@@ -196,7 +198,9 @@ def test_soluble_algebra_splits_trivially(square_algebra):
 
 def test_bundle_decomposition(bundle_sl2):
     dec = leibniz_levi(bundle_sl2.L)
-    assert dec.semisimple_part.dim == 3
+    # the lifted first block already closes up; free variables are zero,
+    # so no diagonal correction is added
+    assert dec.semisimple_part == bundle_sl2.S
     assert dec.radical == bundle_sl2.K
     assert dec.witnesses.all_pass
 
@@ -218,11 +222,48 @@ def test_whole_zoo_splits(zoo):
 
 
 def test_mixed_radical_exercises_explicit_ideal_path(mixed_radical_algebra):
-    # here the pulled-back subalgebra has Leib strictly inside its radical
+    # R.R = span(z) is nonzero here: split modulo z, then split the
+    # pulled-back subalgebra over its radical z
     dec = leibniz_levi(mixed_radical_algebra)
     assert dec.semisimple_part.dim == 3
     assert dec.radical.dim == 5
     assert dec.witnesses.all_pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(leibniz_algebras())
+def test_generated_algebras_split(known):
+    alg = known.alg
+    dec = leibniz_levi(alg)
+    assert verify_levi(alg, dec.semisimple_part).all_pass
+    assert dec.semisimple_part.dim == 3
+    assert soluble_radical(alg) == dec.radical == known.radical
+    assert leibniz_kernel(alg) == known.squares
+    assert subspace_product(alg, dec.radical, dec.radical).dim == int(known.square)
+    assert leibniz_levi(alg).semisimple_part == dec.semisimple_part
+    if known.lie and not known.square:
+        assert lie_levi(alg) == dec.semisimple_part
+
+
+def test_sl4_bundle_splits_within_budget(bundle_sl4):
+    start = time.monotonic()
+    dec = leibniz_levi(bundle_sl4)
+    elapsed = time.monotonic() - start
+    assert bundle_sl4.dim == 30
+    assert dec.semisimple_part.dim == 15
+    assert dec.radical.dim == 15
+    assert dec.witnesses.all_pass
+    assert verify_levi(bundle_sl4, dec.semisimple_part).all_pass
+    assert elapsed < 30.0
+
+
+def test_failed_witness_raises_with_the_witnesses(monkeypatch, bundle_sl2):
+    monkeypatch.setattr(levi, "_split", lambda alg, rad: Subspace.zero(alg.dim))
+    with pytest.raises(levi.LeviVerificationError) as info:
+        leibniz_levi(bundle_sl2.L)
+    assert info.value.complement == Subspace.zero(6)
+    assert not info.value.witnesses.sum_is_full
+    assert info.value.witnesses.intersection_is_zero
 
 
 # --- verify_levi ----------------------------------------------------------------
