@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     Matrix,
@@ -225,34 +225,46 @@ def _sums_differ(lhs: Iterable[tuple[Fraction, Pairs]],
     return any(diff.values())
 
 
+def _derivation_failures(nonzero: Sequence[Mapping[int, Pairs]],
+                         images: Mapping[int, Pairs]) -> Iterator[tuple[int, int, list, list]]:
+    """Walk the derivation law d(b_j.b_k) = d(b_j).b_k + b_j.d(b_k).
+
+    ``nonzero`` is a table's index and ``images[m]`` is d(b_m) as its
+    nonzero (k, c) pairs, with m omitted where d(b_m) = 0.  Yields, in
+    (j, k) order, each basis pair where the law fails, with both sides
+    as term lists.  A pair none of whose vectors b_j.b_k, d(b_j), d(b_k)
+    is nonzero satisfies the law and costs one lookup.
+    """
+    n = len(nonzero)
+    for j in range(n):
+        row_j = nonzero[j]
+        dj = images.get(j, ())
+        for k in range(n):
+            jk = row_j.get(k, ())
+            dk = images.get(k, ())
+            if not (jk or dj or dk):
+                continue
+            lhs = [(a, images.get(m, ())) for m, a in jk]
+            rhs = [(a, nonzero[m].get(k, ())) for m, a in dj]
+            rhs += [(a, row_j.get(m, ())) for m, a in dk]
+            if _sums_differ(lhs, rhs):
+                yield j, k, lhs, rhs
+
+
 def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     """Evaluate a(bc) = (ab)c + b(ac) on every basis triple.
 
     The report is empty exactly when the identity holds; otherwise it
     lists each violating triple, in (i, j, k) order, with both sides as
-    dense vectors.  A triple none of whose products b_i.b_j, b_j.b_k,
-    b_i.b_k is nonzero satisfies the identity and costs one lookup.
+    dense vectors.  Triple (i, j, k) is the derivation law of left
+    multiplication by b_i at the pair (j, k).
     """
     n = alg.dim
     nonzero = alg.table.nonzero
     violations = []
-    for i in range(n):
-        row_i = nonzero[i]
-        for j in range(n):
-            row_j = nonzero[j]
-            ij = row_i.get(j, ())
-            for k in range(n):
-                jk = row_j.get(k, ())
-                ik = row_i.get(k, ())
-                if not (ij or jk or ik):
-                    continue
-                # b_i(b_j b_k) against (b_i b_j)b_k + b_j(b_i b_k)
-                lhs = [(a, row_i.get(m, ())) for m, a in jk]
-                rhs = [(a, nonzero[m].get(k, ())) for m, a in ij]
-                rhs += [(a, row_j.get(m, ())) for m, a in ik]
-                if _sums_differ(lhs, rhs):
-                    violations.append(Violation(i, j, k, _dense_sum(n, lhs),
-                                                _dense_sum(n, rhs)))
+    for i, images in enumerate(nonzero):
+        for j, k, lhs, rhs in _derivation_failures(nonzero, images):
+            violations.append(Violation(i, j, k, _dense_sum(n, lhs), _dense_sum(n, rhs)))
     return ViolationReport(tuple(violations))
 
 
@@ -314,11 +326,6 @@ def subspace_product(alg: LeibnizAlgebra, u: Subspace, v: Subspace) -> Subspace:
 
 def is_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> bool:
     return u.contains_subspace(subspace_product(alg, u, u))
-
-
-def is_left_ideal(alg: LeibnizAlgebra, u: Subspace) -> bool:
-    full = Subspace.full(alg.dim)
-    return u.contains_subspace(subspace_product(alg, full, u))
 
 
 def is_ideal(alg: LeibnizAlgebra, u: Subspace) -> bool:
@@ -401,19 +408,3 @@ def restrict_to_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
         labels=[alg.labels[p] for p in u.pivots],
         validate=False,
     )
-
-
-def embed_rows(u: Subspace, rows: Iterable[Sequence[object]]) -> Subspace:
-    """Subspace of the ambient space spanned by u-coordinate vectors."""
-    out = []
-    for r in rows:
-        rv = as_vector(r)
-        w = [_ZERO] * u.ambient_dim
-        for t, c in enumerate(rv):
-            if c == 0:
-                continue
-            for j, e in enumerate(u.basis.entries[t]):
-                if e != 0:
-                    w[j] += c * e
-        out.append(w)
-    return Subspace(u.ambient_dim, out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import (
     LeibnizAlgebra,
     _dense_sum,
-    _sums_differ,
+    _derivation_failures,
     left_multiplication,
     product,
 )
@@ -100,20 +100,12 @@ def is_derivation(alg: LeibnizAlgebra, d: LinearMap) -> bool:
     """d(x.y) = d(x).y + x.d(y) on all basis pairs."""
     if d.dim != alg.dim:
         raise ValueError("map dimension differs from algebra dimension")
-    n = alg.dim
-    nonzero = alg.table.nonzero
-    # d(b_j) as its nonzero (m, coeff) pairs
-    images = [tuple((m, e) for m, e in enumerate(d.matrix.column(j)) if e)
-              for j in range(n)]
-    for i in range(n):
-        row_i = nonzero[i]
-        for j in range(n):
-            lhs = [(e, images[k]) for k, e in row_i.get(j, ())]
-            rhs = [(e, nonzero[m].get(j, ())) for m, e in images[i]]
-            rhs += [(e, row_i.get(m, ())) for m, e in images[j]]
-            if _sums_differ(lhs, rhs):
-                return False
-    return True
+    images = {}
+    for m in range(d.dim):
+        pairs = tuple((k, e) for k, e in enumerate(d.matrix.column(m)) if e)
+        if pairs:
+            images[m] = pairs
+    return next(_derivation_failures(alg.table.nonzero, images), None) is None
 
 
 def inner_derivation(alg: LeibnizAlgebra, x) -> LinearMap:

@@ -19,11 +19,9 @@ from .exactlin import (
     Matrix,
     Subspace,
     as_scalar,
-    kernel_basis,
     solve_affine,
-    vec_is_zero,
 )
-from .levi import ModuleAction, verify_levi
+from .levi import verify_levi
 from .structure import leibniz_kernel
 
 _ZERO = Fraction(0)
@@ -34,6 +32,21 @@ CATALOG = ("sl2", "sl3", "so3")
 
 class UnknownAlgebraError(ValueError):
     """Catalog lookup with a name that is not in it."""
+
+
+@dataclass(frozen=True)
+class ModuleAction:
+    """A list of operators on Q^space_dim indexed by the acting basis."""
+
+    acting_dim: int
+    space_dim: int
+    rho: tuple[LinearMap, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.rho) != self.acting_dim:
+            raise ValueError("one operator per acting basis element required")
+        if any(m.dim != self.space_dim for m in self.rho):
+            raise ValueError("operator dimension differs from space_dim")
 
 
 @dataclass(frozen=True)
@@ -226,40 +239,3 @@ def diagonal_complement(bundle: CounterexampleBundle, lam: object) -> Subspace:
         row[sd + i] = lam
         rows.append(row)
     return Subspace(n, rows)
-
-
-def equivariant_hom_basis(act1: ModuleAction, act2: ModuleAction) -> list[Matrix]:
-    """Basis of the space of maps intertwining two actions of one algebra.
-
-    Solves phi o rho1(x) = rho2(x) o phi for all acting basis x; each
-    kernel basis vector is reshaped into a space2 x space1 matrix.
-    """
-    if act1.acting_dim != act2.acting_dim:
-        raise ValueError("actions have different acting algebras")
-    d1, d2 = act1.space_dim, act2.space_dim
-    rows = []
-    for r1, r2 in zip(act1.rho, act2.rho):
-        m1, m2 = r1.matrix, r2.matrix
-        for i in range(d2):
-            for j in range(d1):
-                row = [_ZERO] * (d2 * d1)
-                for t in range(d1):
-                    e = m1.entries[t][j]
-                    if e != 0:
-                        row[i * d1 + t] += e
-                for t in range(d2):
-                    e = m2.entries[i][t]
-                    if e != 0:
-                        row[t * d1 + j] -= e
-                if not vec_is_zero(tuple(row)):
-                    rows.append(tuple(row))
-    if rows:
-        kern = kernel_basis(Matrix(len(rows), d2 * d1, tuple(rows)))
-    else:
-        kern = Subspace.full(d2 * d1)
-    out = []
-    for flat in kern.rows():
-        out.append(Matrix(d2, d1, tuple(
-            tuple(flat[i * d1 + j] for j in range(d1)) for i in range(d2)
-        )))
-    return out

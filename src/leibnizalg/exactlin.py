@@ -24,7 +24,6 @@ from itertools import repeat
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -60,16 +59,8 @@ def as_vector(entries: Iterable[object]) -> Vector:
     return tuple(as_scalar(x) for x in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
-
-
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
 
 
 def vec_scale(c: Fraction, x: Vector) -> Vector:
@@ -119,15 +110,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.column(j) for j in range(self.cols)))
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
 
     def scale(self, c: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
@@ -460,23 +442,21 @@ def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
         + tuple(-v.basis.entries[t][i] for t in range(m))
         for i in range(u.ambient_dim)
     ))
-    rows = []
-    for coeffs in kernel_basis(stacked).rows():
+    return embed_rows(u, [coeffs[:k] for coeffs in kernel_basis(stacked).rows()])
+
+
+def embed_rows(u: Subspace, rows: Iterable[Sequence[object]]) -> Subspace:
+    """Span of the combinations sum_t r[t] * (basis row t of u), one per
+    coefficient row r: u-coordinates mapped back to the ambient space."""
+    out = []
+    for r in rows:
         w = [_ZERO] * u.ambient_dim
-        for t in range(k):
-            c = coeffs[t]
-            if c == 0:
-                continue
-            for j, e in enumerate(u.basis.entries[t]):
-                if e != 0:
+        for c, basis_row in zip(as_vector(r), u.sparse_rows, strict=True):
+            if c:
+                for j, e in basis_row:
                     w[j] += c * e
-        rows.append(w)
-    return Subspace(u.ambient_dim, rows)
-
-
-def subspace_contains(u: Subspace, v: Sequence[object]) -> bool:
-    """Membership by residual elimination against the canonical basis."""
-    return u.contains(v)
+        out.append(w)
+    return Subspace(u.ambient_dim, out)
 
 
 def apply_to_subspace(m: Matrix, u: Subspace) -> Subspace:

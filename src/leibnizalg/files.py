@@ -30,8 +30,34 @@ class AlgebraFileError(ValueError):
     """Malformed algebra or subspace file."""
 
 
+# Decimal digits per chunk when writing an integer.  ``str(int)`` refuses
+# integers of more digits than the interpreter's limit (4300 by default),
+# which computed values reach from legal inputs: a 3000-digit table entry
+# squares to 6000 digits in a violation report.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_to_str(n: int) -> str:
+    """Decimal form of n, written in fixed-width chunks when it is large."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    chunks = []
+    while n:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    return sign + str(chunks.pop()) + "".join(
+        f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
+
+
 def scalar_to_str(x: Fraction) -> str:
-    return str(x)
+    """``str(x)``, also for numerators and denominators longer than the
+    interpreter's int-to-string limit."""
+    if x.denominator == 1:
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def str_to_scalar(s: str) -> Fraction:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .algebra import (
     LeibnizAlgebra,
     NotLieError,
-    embed_rows,
     is_lie,
     product,
     quotient,
@@ -27,9 +26,9 @@ from .algebra import (
     subspace_product,
 )
 from .exactlin import (
-    LinearMap,
     Matrix,
     Subspace,
+    embed_rows,
     solve_affine,
     subspace_intersection,
     subspace_sum,
@@ -43,43 +42,6 @@ class NoSolutionError(ValueError):
     """The correction system is inconsistent: the ideal has no
     complementary subalgebra (for example, the quotient is not
     semisimple)."""
-
-
-@dataclass(frozen=True)
-class ModuleAction:
-    """A list of operators on Q^space_dim indexed by the acting basis."""
-
-    acting_dim: int
-    space_dim: int
-    rho: tuple[LinearMap, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rho) != self.acting_dim:
-            raise ValueError("one operator per acting basis element required")
-        if any(m.dim != self.space_dim for m in self.rho):
-            raise ValueError("operator dimension differs from space_dim")
-
-    def of(self, coeffs) -> LinearMap:
-        """Operator attached to a coefficient vector over the acting basis."""
-        acc = Matrix.zeros(self.space_dim, self.space_dim)
-        for c, m in zip(coeffs, self.rho, strict=True):
-            if c != 0:
-                acc = acc + m.matrix.scale(c)
-        return LinearMap(self.space_dim, acc)
-
-
-def module_law_report(acting: LeibnizAlgebra, action: ModuleAction) -> list[tuple[int, int]]:
-    """Basis pairs where rho([x,y]) != rho(x)rho(y) - rho(y)rho(x)."""
-    if acting.dim != action.acting_dim:
-        raise ValueError("acting algebra dimension mismatch")
-    bad = []
-    for i in range(acting.dim):
-        for j in range(acting.dim):
-            lhs = action.of(acting.table.row(i, j)).matrix
-            a, b = action.rho[i].matrix, action.rho[j].matrix
-            if lhs != (a @ b) - (b @ a):
-                bad.append((i, j))
-    return bad
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,6 @@ class BilinearForm:
     dim: int
     gram: Matrix
 
-    def evaluate(self, x, y):
-        return sum(
-            (a * b for a, b in zip(self.gram.apply(y), x, strict=True)), _ZERO
-        )
-
     def is_nondegenerate(self) -> bool:
         _, _, rank = rref(self.gram)
         return rank == self.dim

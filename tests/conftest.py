@@ -141,6 +141,23 @@ def direct_sum_actions(a: ModuleAction, b: ModuleAction) -> ModuleAction:
     return ModuleAction(a.acting_dim, n, tuple(maps))
 
 
+def module_law_report(acting: LeibnizAlgebra, action: ModuleAction) -> list[tuple[int, int]]:
+    """Basis pairs where rho(x.y) != rho(x)rho(y) - rho(y)rho(x)."""
+    assert acting.dim == action.acting_dim
+    n = action.space_dim
+    bad = []
+    for i in range(acting.dim):
+        for j in range(acting.dim):
+            lhs = Matrix.zeros(n, n)
+            for c, m in zip(acting.table.row(i, j), action.rho, strict=True):
+                if c != 0:
+                    lhs = lhs + m.matrix.scale(c)
+            a, b = action.rho[i].matrix, action.rho[j].matrix
+            if lhs != (a @ b) - (b @ a):
+                bad.append((i, j))
+    return bad
+
+
 def matrix_inverse(m: Matrix) -> Matrix:
     cols = []
     for j in range(m.rows):

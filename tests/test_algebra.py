@@ -14,8 +14,8 @@ from leibnizalg import (
     StructureTable,
     Subspace,
     check_left_leibniz,
+    is_derivation,
     is_ideal,
-    is_left_ideal,
     is_lie,
     is_semisimple,
     is_subalgebra,
@@ -27,7 +27,7 @@ from leibnizalg import (
     soluble_radical,
     subspace_product,
 )
-from leibnizalg.exactlin import Matrix, vec_add
+from leibnizalg.exactlin import LinearMap, Matrix, vec_add
 from leibnizalg.sampling import rational_vector
 
 F = Fraction
@@ -155,6 +155,59 @@ def test_checker_matches_oracle_on_zoo_mutants(zoo, data):
     i, j, k = (data.draw(st.integers(0, alg.dim - 1)) for _ in range(3))
     mutant = mutate_entry(alg, i, j, k, data.draw(st.integers(-2, 2)))
     assert_checker_matches_oracle(mutant)
+
+
+# --- the derivation law -------------------------------------------------
+
+def dense_is_derivation(alg, d):
+    """d(b_j.b_k) = d(b_j).b_k + b_j.d(b_k) for all j, k, on dense vectors."""
+    n = alg.dim
+    m = d.matrix.entries
+
+    def apply(v):
+        return tuple(sum((m[r][c] * v[c] for c in range(n)), F(0)) for r in range(n))
+
+    basis = [alg.basis_vector(j) for j in range(n)]
+    images = [apply(b) for b in basis]
+    return all(
+        apply(dense_product(alg, basis[j], basis[k]))
+        == vec_add(dense_product(alg, images[j], basis[k]),
+                   dense_product(alg, basis[j], images[k]))
+        for j in range(n) for k in range(n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tables())
+def test_identity_is_the_derivation_law_of_left_multiplications(table):
+    alg = LeibnizAlgebra(table, validate=False)
+    assert check_left_leibniz(alg).ok == all(
+        is_derivation(alg, left_multiplication(alg, alg.basis_vector(i)))
+        for i in range(alg.dim)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_is_derivation_matches_dense_oracle(zoo, data):
+    # random tables, and small valid algebras, on which inner derivations
+    # pass the law and their one-entry perturbations mostly fail it
+    if data.draw(st.booleans()):
+        alg = LeibnizAlgebra(data.draw(random_tables()), validate=False)
+    else:
+        alg = data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 5]))
+    n = alg.dim
+    small = st.integers(-2, 2)
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(small, min_size=n, max_size=n))
+        rows = [list(r) for r in left_multiplication(alg, x).matrix.entries]
+        if n and data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += 1
+    else:
+        entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+        rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    d = LinearMap(n, Matrix.from_rows(rows, cols=n))
+    assert is_derivation(alg, d) == dense_is_derivation(alg, d)
 
 
 # --- product ------------------------------------------------------------
@@ -315,7 +368,6 @@ def test_subspace_product_matches_dense_products(table, data):
 def test_zero_subspace_is_everything(sl2):
     zero = Subspace.zero(3)
     assert is_subalgebra(sl2, zero)
-    assert is_left_ideal(sl2, zero)
     assert is_ideal(sl2, zero)
 
 

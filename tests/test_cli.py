@@ -156,6 +156,25 @@ def test_validate_mutated_file(capsys, tmp_path, sl2):
     assert check["witness"][0]["triple"]  # a concrete violating triple
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "levi"])
+def test_huge_scalars_are_reported_in_full(capsys, tmp_path, command):
+    # a.a = X a with X = 10^3000 - 1, a legal 3000-digit scalar; the
+    # violation's lhs X^2 has 6000 digits, past Python's default
+    # int-to-string limit of 4300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"format_version": "1", "dim": 1, "basis": ["a"],
+                                "table": [[0, 0, [[0, "9" * 3000]]]]}))
+    code, out = run(capsys, "--format", "json", command, str(path))
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "leibniz_identity" and not check["passed"]
+    assert check["witness"] == [{
+        "triple": [0, 0, 0],
+        "lhs": ["9" * 2999 + "8" + "0" * 2999 + "1"],             # X^2
+        "rhs": ["1" + "9" * 2999 + "6" + "0" * 2999 + "2"],       # 2 X^2
+    }]
+
+
 def test_validate_garbage_file(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -1,12 +1,11 @@
-"""Catalog entries, adjoint modules, split extensions, bundles, diagonal
-complements, and intertwiner bases."""
+"""Catalog entries, adjoint modules, split extensions, bundles, and
+diagonal complements."""
 
 from fractions import Fraction
 
 import pytest
 
 from leibnizalg import (
-    LinearMap,
     Matrix,
     NotLieError,
     Subspace,
@@ -14,12 +13,10 @@ from leibnizalg import (
     adjoint_module,
     counterexample,
     diagonal_complement,
-    equivariant_hom_basis,
     is_lie,
     is_semisimple,
     leibniz_kernel,
     leibniz_levi,
-    left_multiplication,
     product,
     simple_algebra,
     soluble_radical,
@@ -29,9 +26,8 @@ from leibnizalg import (
     subspace_sum,
     verify_levi,
 )
-from leibnizalg.levi import ModuleAction, module_law_report
 
-from conftest import trivial_action
+from conftest import module_law_report, trivial_action
 
 F = Fraction
 
@@ -196,53 +192,9 @@ def test_five_distinct_verified_complements(bundle_sl2):
         assert verify_levi(bundle_sl2.L, sub).all_pass
 
 
-# --- intertwiners -----------------------------------------------------------------------
-
-def test_adjoint_self_intertwiners_are_scalars(sl2):
-    act = adjoint_module(sl2)
-    basis = equivariant_hom_basis(act, act)
-    assert len(basis) == 1
-    # the unique intertwiner is a scalar multiple of the identity
-    phi = basis[0]
-    diag = phi.entries[0][0]
-    assert phi == Matrix.identity(3).scale(diag)
-
-
-def test_adjoint_to_trivial_has_no_intertwiners(sl2):
-    assert equivariant_hom_basis(adjoint_module(sl2), trivial_action(3, 3)) == []
-
-
-def test_zero_actions_on_a_line():
-    act = trivial_action(1, 1)
-    basis = equivariant_hom_basis(act, act)
-    assert len(basis) == 1
-
-
-def test_intertwiner_graphs_are_complements(bundle_sl2, sl2):
-    """Scaled graphs of intertwiners are complements, and the deterministic
-    Levi complement is one of the diagonals."""
-    alg = bundle_sl2.L
-    act = ModuleAction(3, 6, tuple(
-        left_multiplication(alg, alg.basis_vector(i)) for i in range(3)
-    ))
-    # action restricted to the two blocks
-    block_s = ModuleAction(3, 3, tuple(
-        LinearMap(3, Matrix.from_rows([r[:3] for r in m.matrix.entries[:3]]))
-        for m in act.rho
-    ))
-    block_k = ModuleAction(3, 3, tuple(
-        LinearMap(3, Matrix.from_rows([r[3:] for r in m.matrix.entries[3:]]))
-        for m in act.rho
-    ))
-    homs = equivariant_hom_basis(block_s, block_k)
-    assert len(homs) == 1
-    phi = homs[0]
-    graph = Subspace(6, [
-        tuple(Subspace.full(3).basis.entries[i]) + tuple(phi.column(i))
-        for i in range(3)
-    ])
-    assert verify_levi(alg, graph).all_pass
-
-    comp = leibniz_levi(alg).semisimple_part
+def test_intertwiner_graphs_are_complements(bundle_sl2):
+    """The deterministic Levi complement is one of the diagonals, the
+    graphs of the intertwiners lam*id from the first block to the second."""
+    comp = leibniz_levi(bundle_sl2.L).semisimple_part
     lam = comp.basis.entries[0][3]  # scale read off the canonical rows
     assert comp == diagonal_complement(bundle_sl2, lam)

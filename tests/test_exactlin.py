@@ -16,7 +16,6 @@ from leibnizalg import (
     kernel_basis,
     rref,
     solve_affine,
-    subspace_contains,
     subspace_intersection,
     subspace_sum,
 )
@@ -380,7 +379,7 @@ def test_intersection_of_planes():
 
 
 def test_contains_scalar_multiple():
-    assert subspace_contains(Subspace(2, [[1, 1]]), [2, 2])
+    assert Subspace(2, [[1, 1]]).contains([2, 2])
 
 
 def test_ambient_mismatch_raises():

@@ -30,13 +30,13 @@ from leibnizalg import (
 )
 from leibnizalg import levi
 from leibnizalg.exactlin import Matrix
-from leibnizalg.levi import module_law_report
 
 from conftest import (
     conjugate_action,
     direct_sum_actions,
     leibniz_algebras,
     lie_semidirect,
+    module_law_report,
     random_invertible,
     sl2_irrep,
     trivial_action,
