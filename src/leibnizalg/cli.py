@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from . import constructions
 from .algebra import LeibnizIdentityError, check_left_leibniz, is_lie, product
-from .conjugacy import (
-    DistinctnessError,
-    InvarianceError,
-    NotAComplementError,
-    non_conjugacy_certificate,
-)
+from .conjugacy import CertificateError, NotAComplementError, non_conjugacy_certificate
 from .exactlin import Subspace
 from .files import (
     AlgebraFileError,
@@ -33,7 +28,7 @@ from .files import (
     scalar_to_str,
     serialize_subspace,
 )
-from .levi import LeviVerificationError, NoSolutionError, leibniz_levi, verify_levi
+from .levi import LeviVerificationError, NoSolutionError, leibniz_levi
 from .sampling import rational_vector
 from .structure import derived_series, is_semisimple, leibniz_kernel, soluble_radical
 
@@ -111,23 +106,26 @@ def _violation_payload(report) -> list:
     ]
 
 
-def cmd_validate(args, report: _Report) -> int:
+def _load_checked(args, report: _Report):
+    """Load the algebra file unvalidated and report the left Leibniz
+    identity; returns the algebra and whether the identity holds."""
     alg = load_algebra(args.file, validate=False)
     report.set_digest(algebra_digest(alg))
     violations = check_left_leibniz(alg)
     report.add_check("leibniz_identity", violations.ok,
                      witness=None if violations.ok else _violation_payload(violations))
-    report.set_result("lie", violations.ok and is_lie(alg))
-    return EXIT_OK if violations.ok else EXIT_MATH
+    return alg, violations.ok
+
+
+def cmd_validate(args, report: _Report) -> int:
+    alg, ok = _load_checked(args, report)
+    report.set_result("lie", ok and is_lie(alg))
+    return EXIT_OK if ok else EXIT_MATH
 
 
 def cmd_analyze(args, report: _Report) -> int:
-    alg = load_algebra(args.file, validate=False)
-    report.set_digest(algebra_digest(alg))
-    violations = check_left_leibniz(alg)
-    report.add_check("leibniz_identity", violations.ok,
-                     witness=None if violations.ok else _violation_payload(violations))
-    if not violations.ok:
+    alg, ok = _load_checked(args, report)
+    if not ok:
         return EXIT_MATH
     kern = leibniz_kernel(alg)
     rad = soluble_radical(alg)
@@ -151,12 +149,8 @@ def cmd_analyze(args, report: _Report) -> int:
 
 
 def cmd_levi(args, report: _Report) -> int:
-    alg = load_algebra(args.file, validate=False)
-    report.set_digest(algebra_digest(alg))
-    violations = check_left_leibniz(alg)
-    report.add_check("leibniz_identity", violations.ok,
-                     witness=None if violations.ok else _violation_payload(violations))
-    if not violations.ok:
+    alg, ok = _load_checked(args, report)
+    if not ok:
         return EXIT_MATH
     decomposition = leibniz_levi(alg)
     for name, passed in decomposition.witnesses.as_dict().items():
@@ -183,6 +177,15 @@ def cmd_example(args, report: _Report) -> int:
     return EXIT_OK
 
 
+def _add_complement_checks(report: _Report, witnesses) -> None:
+    """Report the certificate's complement witnesses; a failing one ends
+    the command as unusable input, named by its option."""
+    for name, found in zip(("complement_a", "complement_b"), witnesses):
+        report.add_check(f"{name}_complement", found.all_pass, witness=found.as_dict())
+        if not found.all_pass:
+            raise NotAComplementError(f"{name} fails the complement witnesses")
+
+
 def cmd_conjugacy(args, report: _Report) -> int:
     alg = load_algebra(args.file)
     sub_a = load_subspace(args.complement_a)
@@ -196,12 +199,12 @@ def cmd_conjugacy(args, report: _Report) -> int:
         if sub.ambient_dim != alg.dim:
             raise AlgebraFileError(f"{name} lives in dimension {sub.ambient_dim}, "
                                    f"algebra has {alg.dim}")
-        witnesses = verify_levi(alg, sub)
-        report.add_check(f"{name}_complement", witnesses.all_pass,
-                         witness=witnesses.as_dict())
-        if not witnesses.all_pass:
-            raise NotAComplementError(f"{name} fails the complement witnesses")
-    certificate = non_conjugacy_certificate(alg, sub_a, sub_b)
+    try:
+        certificate = non_conjugacy_certificate(alg, sub_a, sub_b)
+    except CertificateError as exc:
+        _add_complement_checks(report, exc.witnesses)
+        raise
+    _add_complement_checks(report, certificate.witnesses)
     report.add_check("distinctness", True,
                      witness=_vector_payload(certificate.distinctness))
     report.add_check(
@@ -295,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         report.add_check("usable_input", False, witness=str(exc))
         print(report.render(args.fmt))
         return EXIT_USAGE
-    except (DistinctnessError, InvarianceError) as exc:
+    except CertificateError as exc:
         report.add_check("certificate", False, witness=str(exc))
         print(report.render(args.fmt))
         return EXIT_MATH

@@ -30,9 +30,10 @@ from .exactlin import (
     exp_nilpotent,
 )
 from .files import algebra_digest
-from .levi import verify_levi
+from .levi import LeviWitnesses, verify_levi
 
 __all__ = [
+    "CertificateError",
     "DistinctnessError",
     "InvarianceError",
     "InvarianceReport",
@@ -47,16 +48,25 @@ __all__ = [
 ]
 
 
-class InvarianceError(ValueError):
+class CertificateError(ValueError):
+    """No certificate could be issued.  ``witnesses`` holds the
+    complement witnesses computed before the failure, in argument order."""
+
+    def __init__(self, message: str, witnesses: tuple[LeviWitnesses, ...] = ()):
+        super().__init__(message)
+        self.witnesses = witnesses
+
+
+class InvarianceError(CertificateError):
     """The first complement is not invariant under some basis derivation,
     so the certificate's argument does not apply."""
 
 
-class DistinctnessError(ValueError):
+class DistinctnessError(CertificateError):
     """No separating vector exists: the two subspaces coincide."""
 
 
-class NotAComplementError(ValueError):
+class NotAComplementError(CertificateError):
     """A certificate was requested for a subspace that fails the
     complement witnesses."""
 
@@ -90,6 +100,7 @@ class NonConjugacyCertificate:
     algebra_digest: str
     S: Subspace
     S1: Subspace
+    witnesses: tuple[LeviWitnesses, LeviWitnesses]  # verify_levi of S, then S1
     distinctness: Vector  # a vector in S1 outside S
     invariance_rows: tuple[InvarianceRow, ...]
     exp_checks: tuple[ExpCheck, ...]
@@ -165,20 +176,24 @@ def non_conjugacy_certificate(alg: LeibnizAlgebra, s: Subspace,
     """Certificate that no product of exponentials of inner derivations
     maps s onto s1.
 
-    Requires both subspaces to pass the complement witnesses.  Emits the
-    separating vector, the all-basis invariance of s, and an exponential
-    fixed-subspace check at every nilpotent basis derivation.
+    Requires both subspaces to pass the complement witnesses, which it
+    records.  Emits the separating vector, the all-basis invariance of s,
+    and an exponential fixed-subspace check at every nilpotent basis
+    derivation.
     """
+    witnesses: tuple[LeviWitnesses, ...] = ()
     for name, cand in (("first", s), ("second", s1)):
-        if not verify_levi(alg, cand).all_pass:
-            raise NotAComplementError(f"{name} subspace fails the complement witnesses")
+        witnesses += (verify_levi(alg, cand),)
+        if not witnesses[-1].all_pass:
+            raise NotAComplementError(f"{name} subspace fails the complement witnesses",
+                                      witnesses)
     witness = _separating_vector(s, s1)
     if witness is None:
-        raise DistinctnessError("subspaces are equal; nothing separates them")
+        raise DistinctnessError("subspaces are equal; nothing separates them", witnesses)
     invariance = invariance_check(alg, s)
     if not invariance.passed:
         raise InvarianceError("first complement is not invariant under all "
-                              "inner derivations")
+                              "inner derivations", witnesses)
     exp_checks = []
     for i in range(alg.dim):
         d = inner_derivation(alg, alg.basis_vector(i))
@@ -201,6 +216,7 @@ def non_conjugacy_certificate(alg: LeibnizAlgebra, s: Subspace,
         algebra_digest=algebra_digest(alg),
         S=s,
         S1=s1,
+        witnesses=witnesses,
         distinctness=witness,
         invariance_rows=invariance.rows,
         exp_checks=tuple(exp_checks),

@@ -366,10 +366,6 @@ class Subspace:
                     w[j] -= f * e
         return coeffs, w
 
-    def reduce(self, v: Sequence[object]) -> Vector:
-        """Residual of v after eliminating against the basis."""
-        return tuple(self._eliminate(v)[1])
-
     def contains(self, v: Sequence[object]) -> bool:
         return not any(self._eliminate(v)[1])
 
@@ -477,12 +473,6 @@ class LinearMap:
     def __post_init__(self) -> None:
         if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
             raise ValueError("matrix is not dim x dim")
-
-    @staticmethod
-    def from_matrix(m: Matrix) -> "LinearMap":
-        if m.rows != m.cols:
-            raise ValueError("linear map matrix must be square")
-        return LinearMap(m.rows, m)
 
     @staticmethod
     def identity(n: int) -> "LinearMap":

@@ -182,13 +182,18 @@ def load_subspace(path: str | Path) -> Subspace:
 
 
 def dump_algebra(alg: LeibnizAlgebra, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_algebra(alg), indent=2) + "\n",
-                          encoding="utf-8")
+    _dump_json(serialize_algebra(alg), path)
 
 
 def dump_subspace(sub: Subspace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_subspace(sub), indent=2) + "\n",
-                          encoding="utf-8")
+    _dump_json(serialize_subspace(sub), path)
+
+
+def _dump_json(data: dict, path: str | Path) -> None:
+    try:
+        Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise AlgebraFileError(f"cannot write {path}: {exc}") from None
 
 
 def _load_json(path: str | Path) -> object:

@@ -20,13 +20,14 @@ from leibnizalg import (
     Subspace,
     adjoint_module,
     counterexample,
+    exp_inner_automorphism,
     product,
     simple_algebra,
     solve_affine,
     split_extension_zero_right,
 )
 from leibnizalg.constructions import _table_from_matrices
-from leibnizalg.exactlin import LinearMap
+from leibnizalg.exactlin import LinearMap, apply_to_subspace
 
 F = Fraction
 
@@ -205,6 +206,17 @@ def lie_semidirect(salg: LeibnizAlgebra, action: ModuleAction) -> LeibnizAlgebra
                     grid[i][sd + j][sd + k] = e
                     grid[sd + j][i][sd + k] = -e
     return LeibnizAlgebra(StructureTable.from_rows(grid))
+
+
+@pytest.fixture(scope="session")
+def moved_levi_pair():
+    """sl2 acting on V(1), its sl2 block S, and S's image S1 under the
+    exponential of left multiplication by b_3.  Both are Levi
+    complements, but left multiplication by b_3 moves S out of itself."""
+    alg = lie_semidirect(simple_algebra("sl2"), sl2_irrep(1))
+    s = Subspace(alg.dim, [alg.basis_vector(i) for i in range(3)])
+    s1 = apply_to_subspace(exp_inner_automorphism(alg, alg.basis_vector(3)).matrix, s)
+    return alg, s, s1
 
 
 @pytest.fixture(scope="session")

@@ -298,6 +298,18 @@ def test_example_so3(capsys, tmp_path):
     assert load_algebra(out_path).dim == 6
 
 
+@pytest.mark.parametrize("target", ["missing/bundle.json", "."],
+                         ids=["missing_parent", "directory"])
+def test_example_unwritable_output(capsys, tmp_path, target):
+    out_path = tmp_path / target
+    code, out = run(capsys, "--format", "json", "example", "--simple", "sl2",
+                    "--output", str(out_path))
+    assert code == 2
+    check = json.loads(out)["checks"][-1]
+    assert check["name"] == "usable_input" and not check["passed"]
+    assert check["witness"].startswith(f"cannot write {out_path}: ")
+
+
 def test_example_unknown_name(capsys, tmp_path):
     code, _ = run(capsys, "example", "--simple", "e8",
                   "--output", str(tmp_path / "x.json"))
@@ -331,6 +343,72 @@ def test_conjugacy_non_complement(capsys, bundle_files):
                   "--complement-a", str(bundle_files["K"]),
                   "--complement-b", str(bundle_files["S1"]))
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def non_invariant_files(tmp_path_factory, moved_levi_pair):
+    root = tmp_path_factory.mktemp("semidirect")
+    alg, s, s1 = moved_levi_pair
+    paths = {"algebra": root / "M.json", "S": root / "S.json", "S1": root / "S1.json"}
+    dump_algebra(alg, paths["algebra"])
+    dump_subspace(s, paths["S"])
+    dump_subspace(s1, paths["S1"])
+    return paths
+
+
+_NOT_A_COMPLEMENT = {"sum_is_full": False, "intersection_is_zero": False,
+                     "closed_under_product": True, "complement_semisimple": False}
+
+
+@pytest.mark.parametrize("files, a, b, code, checks", [
+    ("bundle", "S", "S1", 0, [
+        ("complement_a_complement", True, None),
+        ("complement_b_complement", True, None),
+        ("distinctness", True, None),
+        ("invariance", True, None),
+        ("exponential_fixes_complement", True, None),
+    ]),
+    ("bundle", "K", "S1", 2, [
+        ("complement_a_complement", False, _NOT_A_COMPLEMENT),
+        ("usable_input", False, "complement_a fails the complement witnesses"),
+    ]),
+    ("bundle", "S", "K", 2, [
+        ("complement_a_complement", True, None),
+        ("complement_b_complement", False, _NOT_A_COMPLEMENT),
+        ("usable_input", False, "complement_b fails the complement witnesses"),
+    ]),
+    ("bundle", "S", "S", 1, [
+        ("complement_a_complement", True, None),
+        ("complement_b_complement", True, None),
+        ("certificate", False, "subspaces are equal; nothing separates them"),
+    ]),
+    ("semidirect", "S", "S1", 1, [
+        ("complement_a_complement", True, None),
+        ("complement_b_complement", True, None),
+        ("certificate", False,
+         "first complement is not invariant under all inner derivations"),
+    ]),
+], ids=["success", "a_not_complement", "b_not_complement", "equal", "not_invariant"])
+def test_conjugacy_outcome_checks(capsys, bundle_files, non_invariant_files,
+                                  files, a, b, code, checks):
+    paths = bundle_files if files == "bundle" else non_invariant_files
+    got, out = run(capsys, "--format", "json", "conjugacy", str(paths["algebra"]),
+                   "--complement-a", str(paths[a]), "--complement-b", str(paths[b]))
+    assert got == code
+    assert [(c["name"], c["passed"], None if c["passed"] else c["witness"])
+            for c in json.loads(out)["checks"]] == checks
+
+
+def test_conjugacy_verifies_each_complement_once(capsys, monkeypatch, bundle_files):
+    # every complement check computes the radical once
+    calls = []
+    real = levi.soluble_radical
+    monkeypatch.setattr(levi, "soluble_radical", lambda alg: calls.append(1) or real(alg))
+    code, _ = run(capsys, "conjugacy", str(bundle_files["algebra"]),
+                  "--complement-a", str(bundle_files["S"]),
+                  "--complement-b", str(bundle_files["S1"]))
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_conjugacy_non_leibniz_algebra(capsys, tmp_path, bundle_files):

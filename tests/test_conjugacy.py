@@ -9,6 +9,7 @@ import pytest
 
 from leibnizalg import (
     DistinctnessError,
+    InvarianceError,
     LinearMap,
     NotAComplementError,
     NotNilpotentError,
@@ -20,6 +21,7 @@ from leibnizalg import (
     leibniz_kernel,
     non_conjugacy_certificate,
     product,
+    verify_levi,
 )
 from leibnizalg.exactlin import apply_to_subspace
 from leibnizalg.files import algebra_digest
@@ -132,16 +134,39 @@ def test_bundle_certificate(bundle_sl2):
     assert "e" in checked and "f" in checked
     assert "h" not in checked  # not nilpotent, excluded from exp checks
     assert all(c.passed for c in cert.exp_checks)
+    assert cert.witnesses == (verify_levi(bundle_sl2.L, bundle_sl2.S),
+                              verify_levi(bundle_sl2.L, bundle_sl2.S1))
 
 
 def test_self_certificate_impossible(bundle_sl2):
-    with pytest.raises(DistinctnessError):
+    with pytest.raises(DistinctnessError) as info:
         non_conjugacy_certificate(bundle_sl2.L, bundle_sl2.S, bundle_sl2.S)
+    assert info.value.witnesses == (verify_levi(bundle_sl2.L, bundle_sl2.S),) * 2
+    assert all(w.all_pass for w in info.value.witnesses)
 
 
 def test_non_complement_rejected(bundle_sl2):
-    with pytest.raises(NotAComplementError):
+    # the witnesses stop at the first subspace that fails them
+    with pytest.raises(NotAComplementError) as info:
         non_conjugacy_certificate(bundle_sl2.L, bundle_sl2.K, bundle_sl2.S1)
+    assert info.value.witnesses == (verify_levi(bundle_sl2.L, bundle_sl2.K),)
+    assert not info.value.witnesses[0].all_pass
+
+
+def test_second_non_complement_rejected(bundle_sl2):
+    with pytest.raises(NotAComplementError) as info:
+        non_conjugacy_certificate(bundle_sl2.L, bundle_sl2.S, bundle_sl2.K)
+    assert info.value.witnesses == (verify_levi(bundle_sl2.L, bundle_sl2.S),
+                                    verify_levi(bundle_sl2.L, bundle_sl2.K))
+    assert [w.all_pass for w in info.value.witnesses] == [True, False]
+
+
+def test_non_invariant_complement_rejected(moved_levi_pair):
+    alg, s, s1 = moved_levi_pair
+    with pytest.raises(InvarianceError) as info:
+        non_conjugacy_certificate(alg, s, s1)
+    assert info.value.witnesses == (verify_levi(alg, s), verify_levi(alg, s1))
+    assert all(w.all_pass for w in info.value.witnesses)
 
 
 def test_sl3_certificate(bundle_sl3):
