@@ -324,10 +324,6 @@ def subspace_product(alg: LeibnizAlgebra, u: Subspace, v: Subspace) -> Subspace:
     return Subspace(n, rows)
 
 
-def is_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> bool:
-    return u.contains_subspace(subspace_product(alg, u, u))
-
-
 def is_ideal(alg: LeibnizAlgebra, u: Subspace) -> bool:
     full = Subspace.full(alg.dim)
     return (u.contains_subspace(subspace_product(alg, full, u))
@@ -389,22 +385,23 @@ def restrict_to_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
 
     Coordinates of the restricted algebra are coefficients over u's RREF
     basis rows; map them back with ``u.basis``.  Like ``quotient``, the
-    result is built without rechecking the identity.
+    result is built without rechecking the identity.  Raises
+    NotASubalgebraError at the first basis product outside u.
     """
-    if not is_subalgebra(alg, u):
-        raise NotASubalgebraError("restriction to a subspace that is not a subalgebra")
+    if u.ambient_dim != alg.dim:
+        raise ValueError("ambient dimension differs from algebra dimension")
     rows = u.rows()
-    q = len(rows)
     grid = []
     for x in rows:
         plane = []
         for y in rows:
             coords = u.coordinates(product(alg, x, y))
-            assert coords is not None
+            if coords is None:
+                raise NotASubalgebraError("restriction to a subspace that is not a subalgebra")
             plane.append(coords)
         grid.append(tuple(plane))
     return LeibnizAlgebra(
-        StructureTable(q, tuple(grid)),
+        StructureTable(len(rows), tuple(grid)),
         labels=[alg.labels[p] for p in u.pivots],
         validate=False,
     )

@@ -55,8 +55,7 @@ class CounterexampleBundle:
 
     ``L`` has the simple algebra as its first coordinate block and a copy
     of it (as a left module, primes in the labels) as the second block.
-    ``S`` is the first block, ``S1`` the diagonal, and ``prime_map`` sends
-    the first block onto the second.
+    ``S`` is the first block and ``S1`` the diagonal.
     """
 
     name: str
@@ -64,7 +63,6 @@ class CounterexampleBundle:
     K: Subspace
     S: Subspace
     S1: Subspace
-    prime_map: LinearMap
 
 
 def _table_from_matrices(mats: list[Matrix]) -> StructureTable:
@@ -204,10 +202,6 @@ def counterexample(name: str) -> CounterexampleBundle:
         tuple(_ONE if j == i or j == sd + i else _ZERO for j in range(n))
         for i in range(sd)
     ])
-    prime = LinearMap(n, Matrix(n, n, tuple(
-        tuple(_ONE if (i >= sd and j == i - sd) else _ZERO for j in range(n))
-        for i in range(n)
-    )))
 
     if leibniz_kernel(alg) != k_block:
         raise AssertionError("squares ideal differs from the module block")
@@ -224,7 +218,7 @@ def counterexample(name: str) -> CounterexampleBundle:
     if s_block == diagonal:
         raise AssertionError("complements coincide")
     return CounterexampleBundle(name=name, L=alg, K=k_block, S=s_block,
-                                S1=diagonal, prime_map=prime)
+                                S1=diagonal)
 
 
 def diagonal_complement(bundle: CounterexampleBundle, lam: object) -> Subspace:

@@ -102,9 +102,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, ((_ZERO,) * cols,) * rows)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
@@ -423,22 +420,6 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace(u.ambient_dim, u.rows() + v.rows())
-
-
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient system."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    k, m = u.dim, v.dim
-    if k == 0 or m == 0:
-        return Subspace.zero(u.ambient_dim)
-    # columns: coefficients on u's basis, then on v's basis
-    stacked = Matrix(u.ambient_dim, k + m, tuple(
-        tuple(u.basis.entries[t][i] for t in range(k))
-        + tuple(-v.basis.entries[t][i] for t in range(m))
-        for i in range(u.ambient_dim)
-    ))
-    return embed_rows(u, [coeffs[:k] for coeffs in kernel_basis(stacked).rows()])
 
 
 def embed_rows(u: Subspace, rows: Iterable[Sequence[object]]) -> Subspace:

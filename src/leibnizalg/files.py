@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,9 +61,16 @@ def scalar_to_str(x: Fraction) -> str:
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
+# The only shape ``str(Fraction)`` writes; matched before ``Fraction``
+# would evaluate an exponent such as "1e10000000".
+_CANONICAL_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def str_to_scalar(s: str) -> Fraction:
     if not isinstance(s, str):
         raise AlgebraFileError(f"scalar must be a string, got {s!r}")
+    if not _CANONICAL_SCALAR.fullmatch(s):
+        raise AlgebraFileError(f"scalar {s!r} is not in canonical lowest terms")
     try:
         value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -203,5 +211,5 @@ def _load_json(path: str | Path) -> object:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise AlgebraFileError(f"{path} is not valid JSON: {exc}") from None

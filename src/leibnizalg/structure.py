@@ -11,7 +11,6 @@ from .algebra import (
     NotASubalgebraError,
     NotLieError,
     is_lie,
-    is_subalgebra,
     quotient,
     subspace_product,
 )
@@ -65,20 +64,17 @@ def leibniz_kernel(alg: LeibnizAlgebra) -> Subspace:
 
 
 def derived_series(alg: LeibnizAlgebra, u: Subspace) -> DerivedSeries:
-    """Successive self-products of a subalgebra until they stabilize."""
-    if not is_subalgebra(alg, u):
+    """Successive self-products of a subalgebra until they stabilize;
+    the first, u·u, is also the subalgebra check."""
+    nxt = subspace_product(alg, u, u)
+    if not u.contains_subspace(nxt):
         raise NotASubalgebraError("derived series of a non-subalgebra")
     terms = [u]
-    while True:
-        nxt = subspace_product(alg, terms[-1], terms[-1])
-        if nxt.is_zero():
-            if not terms[-1].is_zero():
-                terms.append(nxt)
-            break
-        if nxt == terms[-1]:
-            terms.append(nxt)
-            break
+    while not terms[-1].is_zero():
         terms.append(nxt)
+        if nxt == terms[-2]:
+            break
+        nxt = subspace_product(alg, nxt, nxt)
     return DerivedSeries(tuple(terms))
 
 

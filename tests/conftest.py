@@ -40,6 +40,15 @@ def algebra(dim, products, labels=None):
     return LeibnizAlgebra(table_from_map(dim, products), labels=labels)
 
 
+def dense_product(alg, x, y):
+    n = alg.dim
+    c = alg.table.c
+    return tuple(
+        sum((F(x[i]) * y[j] * c[i][j][k] for i in range(n) for j in range(n)), F(0))
+        for k in range(n)
+    )
+
+
 @pytest.fixture(scope="session")
 def sl2():
     return simple_algebra("sl2")

@@ -3,6 +3,7 @@ determinism."""
 
 import json
 import re
+import time
 
 import pytest
 
@@ -185,6 +186,39 @@ def test_validate_garbage_file(capsys, tmp_path):
 def test_validate_missing_file(capsys):
     code, _ = run(capsys, "validate", "/nonexistent/L.json")
     assert code == 2
+
+
+def _hostile_text(kind, payload):
+    if payload == "nested":
+        return "[" * 100_000
+    if kind == "algebra":
+        return json.dumps({"format_version": "1", "dim": 1, "basis": ["a"],
+                           "table": [[0, 0, [[0, payload]]]]})
+    return json.dumps({"format_version": "1", "dim": 6,
+                       "rows": [[payload, "0", "0", "0", "0", "0"]]})
+
+
+@pytest.mark.parametrize("payload", ["1e5000", "1e-5000", "1e10000000", "nested"])
+@pytest.mark.parametrize("kind", ["algebra", "subspace"])
+def test_hostile_file_is_reported(capsys, tmp_path, bundle_files, kind, payload):
+    # Fraction evaluates an exponent before any check ("1e10000000" took
+    # 15 s), and str() of the result passes the int-to-string limit; deep
+    # nesting passes the JSON decoder's recursion limit.
+    path = tmp_path / "hostile.json"
+    path.write_text(_hostile_text(kind, payload))
+    if kind == "algebra":
+        argv = ["validate", str(path)]
+    else:
+        argv = ["conjugacy", str(bundle_files["algebra"]),
+                "--complement-a", str(path), "--complement-b", str(bundle_files["S1"])]
+    start = time.perf_counter()
+    code, out = run(capsys, "--format", "json", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    check = json.loads(out)["checks"][-1]
+    assert check["name"] == "usable_input" and not check["passed"]
+    assert ("is not valid JSON" if payload == "nested"
+            else "is not in canonical lowest terms") in check["witness"]
 
 
 # --- analyze ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from leibnizalg import (
     kernel_basis,
     rref,
     solve_affine,
-    subspace_intersection,
     subspace_sum,
 )
 from leibnizalg.exactlin import as_vector
@@ -372,12 +371,6 @@ def test_sum_of_axes():
     assert subspace_sum(e1, e2) == Subspace(3, [[1, 0, 0], [0, 1, 0]])
 
 
-def test_intersection_of_planes():
-    u = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-    v = Subspace(3, [[0, 1, 0], [0, 0, 1]])
-    assert subspace_intersection(u, v) == Subspace(3, [[0, 1, 0]])
-
-
 def test_contains_scalar_multiple():
     assert Subspace(2, [[1, 1]]).contains([2, 2])
 
@@ -385,8 +378,6 @@ def test_contains_scalar_multiple():
 def test_ambient_mismatch_raises():
     with pytest.raises(ValueError):
         subspace_sum(Subspace(2, [[1, 0]]), Subspace(3, [[1, 0, 0]]))
-    with pytest.raises(ValueError):
-        subspace_intersection(Subspace(2, [[1, 0]]), Subspace(3, [[1, 0, 0]]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,8 +404,8 @@ def test_dimension_formula(a, b):
     cols = max(a.cols, b.cols)
     u = Subspace(cols, [list(r) + [0] * (cols - a.cols) for r in a.entries])
     v = Subspace(cols, [list(r) + [0] * (cols - b.cols) for r in b.entries])
-    assert (u.dim + v.dim
-            == subspace_sum(u, v).dim + subspace_intersection(u, v).dim)
+    stacked = Matrix.from_rows(u.rows() + v.rows(), cols)
+    assert subspace_sum(u, v).dim == to_sympy(stacked).rank()
 
 
 def test_subspace_coordinates_roundtrip():

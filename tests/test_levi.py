@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 
 from leibnizalg import (
@@ -13,9 +14,11 @@ from leibnizalg import (
     ModuleAction,
     NoSolutionError,
     NotAnIdealError,
+    NotASubalgebraError,
     NotLieError,
     StructureTable,
     Subspace,
+    diagonal_complement,
     is_lie,
     left_multiplication,
     leibniz_kernel,
@@ -25,7 +28,6 @@ from leibnizalg import (
     soluble_radical,
     subspace_product,
     subspace_sum,
-    subspace_intersection,
     verify_levi,
 )
 from leibnizalg import levi
@@ -33,6 +35,7 @@ from leibnizalg.exactlin import Matrix
 
 from conftest import (
     conjugate_action,
+    dense_product,
     direct_sum_actions,
     leibniz_algebras,
     lie_semidirect,
@@ -177,7 +180,7 @@ def test_bundle_complement_properties(bundle_sl2):
     comp = leibniz_levi(alg).semisimple_part
     assert comp == levi._abelian_complement(alg, bundle_sl2.K)
     assert subspace_sum(comp, bundle_sl2.K).is_full()
-    assert subspace_intersection(comp, bundle_sl2.K).is_zero()
+    assert subspace_sum(comp, bundle_sl2.K).dim == comp.dim + bundle_sl2.K.dim
     # invariance under left multiplication by every basis element
     for i in range(alg.dim):
         m = left_multiplication(alg, alg.basis_vector(i))
@@ -282,3 +285,55 @@ def test_verify_rejects_the_radical(bundle_sl2):
 
 def test_verify_diagonal(bundle_sl2):
     assert verify_levi(bundle_sl2.L, bundle_sl2.S1).all_pass
+
+
+# Subspaces of the sl2 bundle (basis e, h, f, e', h', f'), by name.
+BUNDLE_SUBSPACES = {
+    "S": lambda b: b.S,
+    "S1": lambda b: b.S1,
+    "K": lambda b: b.K,
+    "diagonal_2": lambda b: diagonal_complement(b, 2),
+    "diagonal_-1/2": lambda b: diagonal_complement(b, F(-1, 2)),
+    "zero": lambda b: Subspace.zero(6),
+    "full": lambda b: Subspace.full(6),
+    "e": lambda b: Subspace(6, [[1, 0, 0, 0, 0, 0]]),
+    "e_f": lambda b: Subspace(6, [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),  # e.f = h
+}
+
+
+def sympy_rank(rows):
+    rows = list(rows)
+    if not rows:
+        return 0
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows]).rank()
+
+
+@pytest.mark.parametrize("name", BUNDLE_SUBSPACES)
+def test_witnesses_match_an_oracle(bundle_sl2, name):
+    alg, rad = bundle_sl2.L, bundle_sl2.K  # the module block is the radical
+    s = BUNDLE_SUBSPACES[name](bundle_sl2)
+    w = verify_levi(alg, s)
+    stacked = s.rows() + rad.rows()
+    assert w.sum_is_full == (sympy_rank(stacked) == alg.dim)
+    # both bases are independent, so they meet trivially exactly when
+    # the stacked rows are independent too
+    assert w.intersection_is_zero == (sympy_rank(stacked) == len(stacked))
+    closed = all(sympy_rank(s.rows() + (dense_product(alg, x, y),)) == s.dim
+                 for x in s.rows() for y in s.rows())
+    assert w.closed_under_product == closed
+    if not closed:
+        assert not w.complement_semisimple
+    assert w.all_pass == (name in ("S", "S1", "diagonal_2", "diagonal_-1/2"))
+
+
+def test_restriction_rejects_non_subalgebras_and_wrong_dimensions(bundle_sl2):
+    alg = bundle_sl2.L
+    with pytest.raises(NotASubalgebraError,
+                       match="restriction to a subspace that is not a subalgebra"):
+        restrict_to_subalgebra(alg, BUNDLE_SUBSPACES["e_f"](bundle_sl2))
+    for u in (Subspace.zero(5), Subspace.full(3), Subspace(7, [[1, 0, 0, 0, 0, 0, 0]])):
+        with pytest.raises(ValueError,
+                           match="ambient dimension differs from algebra dimension") as info:
+            restrict_to_subalgebra(alg, u)
+        assert info.type is ValueError
