@@ -5,14 +5,17 @@ constants c[i][j][k] with b_i . b_j = sum_k c[i][j][k] b_k, held both as
 the full tensor and as an index of its nonzero entries.  Products, the
 identity check and the other walks over the table iterate that index, so
 their cost follows the number of nonzero products rather than a power of
-the dimension.  Antisymmetry is never assumed; Lie algebras are the
-special case where it holds.
+the dimension.  Products and subspace products run on integers, through
+a copy of the index scaled per coordinate.  Antisymmetry is never
+assumed; Lie algebras are the special case where it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlin import (
@@ -20,6 +23,8 @@ from .exactlin import (
     LinearMap,
     Subspace,
     Vector,
+    _echelon,
+    _make_primitive,
     as_scalar,
     as_vector,
 )
@@ -76,6 +81,8 @@ class ViolationReport:
 
 # The nonzero (k, c) pairs of one basis product, in increasing k.
 Pairs = tuple[tuple[int, Fraction], ...]
+# The same pairs with each c scaled to an integer (see StructureTable).
+IntPairs = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,17 @@ class StructureTable:
     """The tensor c[i][j][k] of basis products b_i . b_j = sum_k c[i][j][k] b_k.
 
     ``nonzero[i]`` maps each j with b_i . b_j != 0, in increasing j, to
-    that product's nonzero (k, c) pairs.  It is built once, here, and is
-    left out of ``==``, ``hash`` and ``repr``, which see only ``c``.
+    that product's nonzero (k, c) pairs.  It is built once, here, and
+    ``cache`` starts empty; it holds what ``structure`` derives from the
+    table alone.  ``scaled`` and ``den``, the integer form of the index,
+    are built once, on first use.  None of these enters ``==``, ``hash``
+    or ``repr``, which see only ``c``.
     """
 
     dim: int
     c: tuple[tuple[Vector, ...], ...]
     nonzero: tuple[dict[int, Pairs], ...] = field(init=False, repr=False, compare=False)
+    cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.dim
@@ -106,6 +117,32 @@ class StructureTable:
                     products[j] = pairs
             index.append(products)
         object.__setattr__(self, "nonzero", tuple(index))
+        object.__setattr__(self, "cache", {})
+
+    @cached_property
+    def den(self) -> tuple[int, ...]:
+        """``den[k]`` is the lcm of the denominators in coordinate k of
+        every product.  One denominator per coordinate keeps each scaled
+        constant as long as its own coordinate needs; a table-wide lcm
+        would multiply every constant by the denominators of all the
+        other coordinates."""
+        den = [1] * self.dim
+        for products in self.nonzero:
+            for pairs in products.values():
+                for k, e in pairs:
+                    den[k] = lcm(den[k], e.denominator)
+        return tuple(den)
+
+    @cached_property
+    def scaled(self) -> tuple[dict[int, IntPairs], ...]:
+        """``nonzero`` with each c[i][j][k] replaced by the integer
+        c[i][j][k] * den[k]."""
+        den = self.den
+        return tuple(
+            {j: tuple((k, e.numerator * (den[k] // e.denominator)) for k, e in pairs)
+             for j, pairs in products.items()}
+            for products in self.nonzero
+        )
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Sequence[object]]]) -> "StructureTable":
@@ -181,24 +218,38 @@ class LeibnizAlgebra:
         return tuple(v)
 
 
+def _scaled_row(pairs: Sequence[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
+    """(d, d * row) for a sparse rational row, d the lcm of its denominators."""
+    d = lcm(*[x.denominator for _, x in pairs])
+    return d, [(c, x.numerator * (d // x.denominator)) for c, x in pairs]
+
+
 def product(alg: LeibnizAlgebra, x: Sequence[object], y: Sequence[object]) -> Vector:
-    """Bilinear extension of the table: (x.y)_k = sum_{i,j} x_i y_j c[i][j][k]."""
+    """Bilinear extension of the table: (x.y)_k = sum_{i,j} x_i y_j c[i][j][k].
+
+    Runs on integers: with x = X/dx and y = Y/dy, coordinate k is
+    sum X_i Y_j (c[i][j][k] * den[k]) over dx * dy * den[k].
+    """
     xv = as_vector(x)
     yv = as_vector(y)
-    if len(xv) != alg.dim or len(yv) != alg.dim:
+    n = alg.dim
+    if len(xv) != n or len(yv) != n:
         raise ValueError("vector length differs from algebra dimension")
-    acc = [_ZERO] * alg.dim
-    nonzero = alg.table.nonzero
-    for i, xi in enumerate(xv):
-        if not xi:
-            continue
-        for j, pairs in nonzero[i].items():
-            yj = yv[j]
+    dx, xs = _scaled_row([(i, a) for i, a in enumerate(xv) if a])
+    dy, ys = _scaled_row([(j, a) for j, a in enumerate(yv) if a])
+    y_at = dict(ys)
+    acc = [0] * n
+    scaled = alg.table.scaled
+    for i, xi in xs:
+        for j, pairs in scaled[i].items():
+            yj = y_at.get(j)
             if yj:
                 f = xi * yj
                 for k, e in pairs:
                     acc[k] += f * e
-    return tuple(acc)
+    d = dx * dy
+    den = alg.table.den
+    return tuple(Fraction(a, d * den[k]) if a else _ZERO for k, a in enumerate(acc))
 
 
 # A term list [(a, pairs), ...] stands for the sparse vector
@@ -295,33 +346,52 @@ def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> LinearMap:
     return LinearMap(n, Matrix(n, n, tuple(tuple(row) for row in rows)))
 
 
+def _scaled_span(table: StructureTable, sums: Iterable[Mapping[int, int]]) -> Subspace:
+    """Canonical span of the vectors whose coordinate k is s[k] / den[k],
+    one per mapping s of sums over the table's ``scaled`` index.  Each
+    reaches the elimination as its primitive integer multiple."""
+    den = table.den
+    rows = []
+    for s in sums:
+        row = {k: a for k, a in s.items() if a}
+        if len(row) == 1:
+            # a multiple of one basis vector: its primitive form is +-1
+            rows.append({k: 1 if a > 0 else -1 for k, a in row.items()})
+        elif row:
+            m = lcm(*[den[k] for k in row])
+            if m != 1:
+                for k in row:
+                    row[k] *= m // den[k]
+            rows.append(_make_primitive(row))
+    return Subspace._from_echelon(table.dim, _echelon(rows))
+
+
 def subspace_product(alg: LeibnizAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Canonical span of all products of basis vectors of u with those of v.
 
-    Multiplies the sparse basis rows pairwise through the table's index.
+    Multiplies the sparse basis rows, scaled to integers, pairwise
+    through the table's ``scaled`` index.
     """
     if u.ambient_dim != alg.dim or v.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
-    n = alg.dim
-    nonzero = alg.table.nonzero
-    rows = []
-    for x in u.sparse_rows:
-        for y in v.sparse_rows:
-            acc: dict[int, Fraction] = {}
-            for i, xi in x:
-                products = nonzero[i]
-                for j, yj in y:
-                    pairs = products.get(j)
-                    if pairs:
-                        f = xi * yj
-                        for k, e in pairs:
-                            acc[k] = acc.get(k, _ZERO) + f * e
-            if acc:
-                row = [_ZERO] * n
-                for k, e in acc.items():
-                    row[k] = e
-                rows.append(row)
-    return Subspace(n, rows)
+    scaled = alg.table.scaled
+    v_rows = [_scaled_row(y)[1] for y in v.sparse_rows]
+
+    def products() -> Iterator[dict[int, int]]:
+        for x in u.sparse_rows:
+            x_terms = [(scaled[i], xi) for i, xi in _scaled_row(x)[1]]
+            for y in v_rows:
+                acc: dict[int, int] = {}
+                for row_i, xi in x_terms:
+                    for j, yj in y:
+                        pairs = row_i.get(j)
+                        if pairs:
+                            f = xi * yj
+                            for k, e in pairs:
+                                acc[k] = acc.get(k, 0) + f * e
+                yield acc
+
+    return _scaled_span(alg.table, products())
 
 
 def is_ideal(alg: LeibnizAlgebra, u: Subspace) -> bool:

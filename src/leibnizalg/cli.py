@@ -9,6 +9,7 @@ trailing elapsed-time field they are byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -20,6 +21,7 @@ from .algebra import LeibnizIdentityError, check_left_leibniz, is_lie, product
 from .conjugacy import CertificateError, NotAComplementError, non_conjugacy_certificate
 from .exactlin import Subspace
 from .files import (
+    _CANONICAL_SCALAR,
     AlgebraFileError,
     algebra_digest,
     dump_algebra,
@@ -238,10 +240,25 @@ def cmd_conjugacy(args, report: _Report) -> int:
 
 
 def _parse_lambda(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    # the shape is matched before ``Fraction`` would evaluate an exponent
+    # such as "1e10000000"
+    if _CANONICAL_SCALAR.fullmatch(text):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(text)
+    raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+
+
+def _attach_negative_lambdas(argv: list[str]) -> list[str]:
+    """Write "--lambda -1/2" as "--lambda=-1/2": argparse takes a separate
+    value starting with "-" for an option unless it looks like a negative
+    int or decimal, and "-1/2" does not."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--lambda" and _CANONICAL_SCALAR.fullmatch(arg) and arg[0] == "-":
+            out[-1] = f"--lambda={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lambdas(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     report = _Report(args.subcommand, _echo_arguments(args))

@@ -5,11 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
+from typing import Callable, Iterator
 
 from .algebra import (
     LeibnizAlgebra,
     NotASubalgebraError,
     NotLieError,
+    _scaled_span,
     is_lie,
     quotient,
     subspace_product,
@@ -43,24 +46,41 @@ class BilinearForm:
         return rank == self.dim
 
 
+def _per_table(
+        compute: Callable[[LeibnizAlgebra], Subspace]) -> Callable[[LeibnizAlgebra], Subspace]:
+    """Memoise ``compute``, which reads nothing of an algebra but its
+    table, in that table's cache: each table computes it once."""
+    key = compute.__name__
+
+    @wraps(compute)
+    def memoised(alg: LeibnizAlgebra) -> Subspace:
+        cache = alg.table.cache
+        if key not in cache:
+            cache[key] = compute(alg)
+        return cache[key]
+    return memoised
+
+
+@_per_table
 def leibniz_kernel(alg: LeibnizAlgebra) -> Subspace:
     """Canonical span of all squares x.x.
 
     Computed by polarization as span{b_i.b_j + b_j.b_i : i <= j}, which
     equals the span of squares in characteristic zero.
     """
-    n = alg.dim
-    nonzero = alg.table.nonzero
-    rows = []
-    for i, products in enumerate(nonzero):
-        for j, pairs in products.items():
-            if j < i and i in nonzero[j]:
-                continue  # the pair (j, i) already gave this row
-            row = [_ZERO] * n
-            for k, e in pairs + nonzero[j].get(i, ()):
-                row[k] += e
-            rows.append(row)
-    return Subspace(n, rows)
+    scaled = alg.table.scaled
+
+    def sums() -> Iterator[dict[int, int]]:
+        for i, products in enumerate(scaled):
+            for j, pairs in products.items():
+                if j < i and i in scaled[j]:
+                    continue  # the pair (j, i) already gave this row
+                acc: dict[int, int] = {}
+                for k, e in pairs + scaled[j].get(i, ()):
+                    acc[k] = acc.get(k, 0) + e
+                yield acc
+
+    return _scaled_span(alg.table, sums())
 
 
 def derived_series(alg: LeibnizAlgebra, u: Subspace) -> DerivedSeries:
@@ -117,6 +137,7 @@ def _lie_radical(alg: LeibnizAlgebra) -> Subspace:
     return kernel_basis(constraints)
 
 
+@_per_table
 def soluble_radical(alg: LeibnizAlgebra) -> Subspace:
     """Largest soluble ideal.
 

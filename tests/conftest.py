@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import strategies as st
 
 from leibnizalg import (
@@ -47,6 +48,14 @@ def dense_product(alg, x, y):
         sum((F(x[i]) * y[j] * c[i][j][k] for i in range(n) for j in range(n)), F(0))
         for k in range(n)
     )
+
+
+def sympy_rank(rows):
+    rows = list(rows)
+    if not rows:
+        return 0
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows]).rank()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Products, the identity checker, multiplication operators, subspace
 products, ideals, and quotients."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from leibnizalg import (
 from leibnizalg.exactlin import LinearMap, Matrix, vec_add
 from leibnizalg.sampling import rational_vector
 
-from conftest import dense_product
+from conftest import dense_product, leibniz_algebras, sympy_rank
 
 F = Fraction
 
@@ -112,11 +113,13 @@ def test_equal_tables_compare_and_hash_equal(sl2):
         for i, products in enumerate(sl2.table.nonzero)
         for j, pairs in products.items()
     })
+    soluble_radical(sl2)  # fills sl2's cache, not theirs
     for table in (dense, rows, sparse):
         assert table == sl2.table
         assert hash(table) == hash(sl2.table)
         assert repr(table) == repr(sl2.table)
-        assert "nonzero" not in repr(table)
+        for name in ("nonzero", "scaled", "den", "cache"):
+            assert name not in repr(table)
     assert LeibnizAlgebra(sparse, labels=sl2.labels) == sl2
     assert StructureTable.from_map(3, {}) != sl2.table
 
@@ -355,6 +358,80 @@ def test_subspace_product_matches_dense_products(table, data):
     u, v = Subspace(n, data.draw(spans)), Subspace(n, data.draw(spans))
     expected = Subspace(n, [dense_product(alg, x, y) for x in u.rows() for y in v.rows()])
     assert subspace_product(alg, u, v) == expected
+
+
+# --- integer products against the oracles ------------------------------------
+
+def rational_vectors(n):
+    return st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                    min_size=n, max_size=n)
+
+
+def assert_products_match_oracles(alg, x, y, u_rows, v_rows):
+    assert product(alg, x, y) == dense_product(alg, x, y)
+    u, v = Subspace(alg.dim, u_rows), Subspace(alg.dim, v_rows)
+    dense = [dense_product(alg, a, b) for a in u.rows() for b in v.rows()]
+    got = subspace_product(alg, u, v)
+    assert got.dim == sympy_rank(dense)
+    assert all(got.contains(w) for w in dense)
+
+
+@settings(max_examples=25, deadline=None)
+@given(leibniz_algebras(), st.data())
+def test_integer_products_match_oracles_on_leibniz_algebras(known, data):
+    vectors = rational_vectors(known.alg.dim)
+    spans = st.lists(vectors, max_size=3)
+    assert_products_match_oracles(known.alg, data.draw(vectors), data.draw(vectors),
+                                  data.draw(spans), data.draw(spans))
+
+
+# Distinct primes, so pairwise coprime.
+COPRIME = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
+
+
+@pytest.fixture(scope="module")
+def coprime_bundle(bundle_sl2):
+    """The sl2 bundle on the basis f_a = g_a e_a, g = COPRIME:
+    f_a . f_b = sum_k (g_a g_b / g_k) c[a][b][k] f_k, so the denominators
+    in coordinate k divide g_k and no other g."""
+    alg = bundle_sl2.L
+    n, c, g = alg.dim, alg.table.c, COPRIME
+    grid = [[[F(g[a] * g[b], g[k]) * c[a][b][k] for k in range(n)] for b in range(n)]
+            for a in range(n)]
+    return LeibnizAlgebra(StructureTable.from_rows(grid), labels=alg.labels)
+
+
+def test_each_coordinate_has_its_own_denominator(coprime_bundle):
+    table = coprime_bundle.table
+    n = table.dim
+    for k in range(n):
+        column = [table.c[i][j][k].denominator for i in range(n) for j in range(n)]
+        assert table.den[k] == math.lcm(*column)
+        assert table.den[k] in (1, COPRIME[k])
+    # several coordinates have a denominator, and none carries the others'
+    assert max(table.den) < math.lcm(*table.den)
+    for i, products in enumerate(table.nonzero):
+        assert list(table.scaled[i]) == list(products)
+        for j, pairs in products.items():
+            scaled = table.scaled[i][j]
+            assert all(type(e) is int for _, e in scaled)
+            assert scaled == tuple((k, e * table.den[k]) for k, e in pairs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_integer_products_match_oracles_with_coprime_denominators(coprime_bundle, data):
+    vectors = rational_vectors(coprime_bundle.dim)
+    spans = st.lists(vectors, max_size=3)
+    assert_products_match_oracles(coprime_bundle, data.draw(vectors), data.draw(vectors),
+                                  data.draw(spans), data.draw(spans))
+
+
+def test_coprime_denominators_keep_the_radical(coprime_bundle, bundle_sl2):
+    # the module block is spanned by basis vectors, which a diagonal
+    # change of basis only rescales
+    assert leibniz_kernel(coprime_bundle) == bundle_sl2.K
+    assert soluble_radical(coprime_bundle) == bundle_sl2.K
 
 
 def test_zero_subspace_is_everything(sl2):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from leibnizalg import counterexample, levi
+from leibnizalg import counterexample, levi, structure
 from leibnizalg.cli import main
 from leibnizalg.files import (
     MAX_DIM,
@@ -344,6 +344,32 @@ def test_example_unwritable_output(capsys, tmp_path, target):
     assert check["witness"].startswith(f"cannot write {out_path}: ")
 
 
+@pytest.mark.parametrize("spelling", [["--lambda", "-1/2"], ["--lambda=-1/2"]],
+                         ids=["separate", "joined"])
+def test_example_negative_lambda(capsys, tmp_path, spelling):
+    argv = ["--format", "json", "example", "--simple", "sl2",
+            "--output", str(tmp_path / "sl2.json")]
+    code, out = run(capsys, *argv, *spelling)
+    assert code == 0
+    report = json.loads(out)
+    assert report["arguments"]["lambda"] == ["-1/2"]
+    assert report["results"]["S_lambda(-1/2)"]["rows"][0] == ["1", "0", "0", "-1/2", "0", "0"]
+    _, joined = run(capsys, *argv, "--lambda=-1/2")
+    assert strip_timing(out) == strip_timing(joined)
+
+
+@pytest.mark.parametrize("value", ["1e200000", "1e10000000", "0.5", "1/0", "+1", "1 /2"])
+def test_example_lambda_of_another_shape_is_rejected(capsys, tmp_path, value):
+    # an exponent is refused before it is evaluated
+    out_path = tmp_path / "sl2.json"
+    start = time.monotonic()
+    code = main(["example", "--simple", "sl2", "--lambda", value, "--output", str(out_path)])
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert f"not an exact rational: {value!r}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_example_unknown_name(capsys, tmp_path):
     code, _ = run(capsys, "example", "--simple", "e8",
                   "--output", str(tmp_path / "x.json"))
@@ -443,6 +469,25 @@ def test_conjugacy_verifies_each_complement_once(capsys, monkeypatch, bundle_fil
                   "--complement-b", str(bundle_files["S1"]))
     assert code == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["levi", "analyze", "example", "conjugacy"])
+def test_one_radical_per_command(capsys, monkeypatch, tmp_path, bundle_files, command):
+    # each table computes its radical once, however many checks ask for it
+    calls = []
+    real = structure._lie_radical
+    monkeypatch.setattr(structure, "_lie_radical", lambda alg: calls.append(1) or real(alg))
+    algebra_file = str(bundle_files["algebra"])
+    argv = {
+        "levi": ["levi", algebra_file],
+        "analyze": ["analyze", algebra_file],
+        "example": ["example", "--simple", "sl2", "--output", str(tmp_path / "sl2.json")],
+        "conjugacy": ["conjugacy", algebra_file, "--complement-a", str(bundle_files["S"]),
+                      "--complement-b", str(bundle_files["S1"])],
+    }[command]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_conjugacy_non_leibniz_algebra(capsys, tmp_path, bundle_files):

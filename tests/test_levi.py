@@ -6,7 +6,6 @@ import time
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 
 from leibnizalg import (
@@ -42,6 +41,7 @@ from conftest import (
     module_law_report,
     random_invertible,
     sl2_irrep,
+    sympy_rank,
     trivial_action,
 )
 
@@ -299,14 +299,6 @@ BUNDLE_SUBSPACES = {
     "e": lambda b: Subspace(6, [[1, 0, 0, 0, 0, 0]]),
     "e_f": lambda b: Subspace(6, [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),  # e.f = h
 }
-
-
-def sympy_rank(rows):
-    rows = list(rows)
-    if not rows:
-        return 0
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                         for r in rows]).rank()
 
 
 @pytest.mark.parametrize("name", BUNDLE_SUBSPACES)
