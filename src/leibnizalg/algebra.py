@@ -25,6 +25,7 @@ from .exactlin import (
     Vector,
     _echelon,
     _make_primitive,
+    _scaled_row,
     as_scalar,
     as_vector,
 )
@@ -216,12 +217,6 @@ class LeibnizAlgebra:
         v = [_ZERO] * self.dim
         v[i] = Fraction(1)
         return tuple(v)
-
-
-def _scaled_row(pairs: Sequence[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
-    """(d, d * row) for a sparse rational row, d the lcm of its denominators."""
-    d = lcm(*[x.denominator for _, x in pairs])
-    return d, [(c, x.numerator * (d // x.denominator)) for c, x in pairs]
 
 
 def product(alg: LeibnizAlgebra, x: Sequence[object], y: Sequence[object]) -> Vector:

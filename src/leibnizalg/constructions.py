@@ -67,23 +67,43 @@ class CounterexampleBundle:
 
 def _table_from_matrices(mats: list[Matrix]) -> StructureTable:
     """Structure constants of a matrix Lie algebra spanned by ``mats``,
-    with the commutator as product."""
+    with the commutator as product.
+
+    The generators, flattened row by row, are the columns of F; they must
+    be linearly independent.  Row t of a left inverse G of F solves
+    F^T g = e_t, one ``solve_affine`` per generator.  Each bracket is
+    formed from the generators' nonzero entries, checked to lie in their
+    span, and read off as G times the flattened bracket.
+    """
     n = len(mats)
     size = mats[0].rows
-    flat_cols = Matrix(size * size, n, tuple(
-        tuple(mats[t].entries[i][j] for t in range(n))
-        for i in range(size) for j in range(size)
+    flat = [tuple(x for row in m.entries for x in row) for m in mats]
+    span = Subspace(size * size, flat)
+    if span.dim != n:
+        raise ValueError("the generators are linearly dependent")
+    flat_rows = Matrix(n, size * size, tuple(flat))
+    left_inverse = Matrix(n, size * size, tuple(
+        solve_affine(flat_rows, [_ONE if s == t else _ZERO for s in range(n)])[0]
+        for t in range(n)
     ))
+    # by_row[t][k]: the nonzero (j, x) of row k of generator t
+    by_row = [[[(j, x) for j, x in enumerate(row) if x] for row in m.entries] for m in mats]
     grid = []
-    for a in mats:
+    for a in by_row:
         plane = []
-        for b in mats:
-            bracket = (a @ b) - (b @ a)
-            flat = tuple(bracket.entries[i][j] for i in range(size) for j in range(size))
-            solved = solve_affine(flat_cols, flat)
-            if solved is None:
+        for b in by_row:
+            acc = [_ZERO] * (size * size)
+            for i in range(size):
+                for k, x in a[i]:
+                    for j, y in b[k]:
+                        acc[i * size + j] += x * y
+                for k, y in b[i]:
+                    for j, x in a[k]:
+                        acc[i * size + j] -= y * x
+            bracket = tuple(acc)
+            if not span.contains(bracket):
                 raise ValueError("bracket escapes the span of the generators")
-            plane.append(solved[0])
+            plane.append(left_inverse.apply(bracket))
         grid.append(tuple(plane))
     return StructureTable(n, tuple(grid))
 

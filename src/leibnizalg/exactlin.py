@@ -14,12 +14,19 @@ removed after every step.  Fractions are made only when the result is
 written back, one division by the pivot entry per entry.  The RREF is
 unique, so this gives the same bases, pivots and solutions as
 Gauss-Jordan over Fractions.
+
+Matrix-vector products (``Matrix.apply``, and through it ``LinearMap``
+and ``apply_to_subspace``) run on integers too: each matrix keeps the
+columns it has met scaled by their own denominators, the vector is
+scaled once, and each output coordinate is one integer sum and at most
+one Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -137,20 +144,47 @@ class Matrix:
             out.append(tuple(acc))
         return Matrix(self.rows, other.cols, tuple(out))
 
+    @cached_property
+    def _scaled_columns(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
+        """Column j as ``_scaled_row`` of its nonzero (row, entry) pairs,
+        filled in by ``apply`` for each column it meets.  As a cached
+        property it stays out of ``==``, ``hash`` and ``repr``."""
+        return {}
+
     def apply(self, v: Sequence[object]) -> Vector:
-        """Matrix times column vector."""
+        """Matrix times column vector, on integers.
+
+        v is scaled once to dv * v.  Each column j that v meets is kept
+        scaled by d_j, the lcm of its own denominators; with D the lcm of
+        those d_j, output coordinate i is one integer sum over D * dv.
+        A column is scaled the first time a vector meets it, so a matrix
+        applied to a few sparse vectors scans only the columns they use.
+        """
         vv = as_vector(v)
         if len(vv) != self.cols:
             raise ValueError("shape mismatch")
-        acc = [_ZERO] * self.rows
-        for j, c in enumerate(vv):
-            if c == 0:
-                continue
-            for i in range(self.rows):
-                e = self.entries[i][j]
-                if e != 0:
-                    acc[i] += e * c
-        return tuple(acc)
+        dv, scaled = _scaled_row([(j, x) for j, x in enumerate(vv) if x])
+        columns = self._scaled_columns
+        terms = []
+        for j, x in scaled:
+            column = columns.get(j)
+            if column is None:
+                column = columns[j] = _scaled_row(
+                    [(i, row[j]) for i, row in enumerate(self.entries) if row[j]])
+            terms.append((column, x))
+        den = lcm(*[d for (d, _), _ in terms])
+        acc = [0] * self.rows
+        for (d, pairs), x in terms:
+            f = x * (den // d)
+            for i, a in pairs:
+                acc[i] += a * f
+        return tuple(Fraction(s, den * dv) if s else _ZERO for s in acc)
+
+
+def _scaled_row(pairs: Sequence[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
+    """(d, d * row) for a sparse rational row, d the lcm of its denominators."""
+    d = lcm(*[x.denominator for _, x in pairs])
+    return d, [(c, x.numerator * (d // x.denominator)) for c, x in pairs]
 
 
 def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> Iterator[dict[int, int]]:
@@ -455,20 +489,8 @@ class LinearMap:
         if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
             raise ValueError("matrix is not dim x dim")
 
-    @staticmethod
-    def identity(n: int) -> "LinearMap":
-        return LinearMap(n, Matrix.identity(n))
-
-    @staticmethod
-    def zero(n: int) -> "LinearMap":
-        return LinearMap(n, Matrix.zeros(n, n))
-
     def __call__(self, v: Sequence[object]) -> Vector:
         return self.matrix.apply(v)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        return LinearMap(self.dim, self.matrix @ other.matrix)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

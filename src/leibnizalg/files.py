@@ -23,7 +23,8 @@ FORMAT_VERSION = "1"
 # dim³ tensor of Fractions (plus its nonzero index), allocated before any
 # other check: parsing a dim-128 table with no products peaks at 53 MB
 # and grows with dim³, so a few kilobytes of labels could otherwise ask
-# for gigabytes.  The benchmark ladder tops out at dim 48.
+# for gigabytes.  The benchmark ladder tops out at dim 30 (the sl4
+# bundle); the tier-1 tests build the dim-48 sl5 bundle.
 MAX_DIM = 128
 
 

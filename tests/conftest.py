@@ -122,6 +122,19 @@ def gl2_style(sl2):
     return algebra(4, products, labels=("e", "h", "f", "z"))
 
 
+def identity_map(n: int) -> LinearMap:
+    return LinearMap(n, Matrix.identity(n))
+
+
+def zero_map(n: int) -> LinearMap:
+    return LinearMap(n, Matrix.zeros(n, n))
+
+
+def compose(g: LinearMap, h: LinearMap) -> LinearMap:
+    """g after h."""
+    return LinearMap(g.dim, g.matrix @ h.matrix)
+
+
 def sl2_irrep(m: int) -> ModuleAction:
     """The irreducible representation of dimension m+1, acting basis (e,h,f)."""
     n = m + 1
@@ -143,7 +156,7 @@ def sl2_irrep(m: int) -> ModuleAction:
 
 def trivial_action(acting_dim: int, space_dim: int) -> ModuleAction:
     return ModuleAction(acting_dim, space_dim,
-                        tuple(LinearMap.zero(space_dim) for _ in range(acting_dim)))
+                        tuple(zero_map(space_dim) for _ in range(acting_dim)))
 
 
 def direct_sum_actions(a: ModuleAction, b: ModuleAction) -> ModuleAction:
@@ -279,19 +292,28 @@ def zoo(sl2, so3, square_algebra, abelian2, nonabelian2, heisenberg, gl2_style,
     ]
 
 
-@pytest.fixture(scope="session")
-def bundle_sl4():
-    """The dim-30 split extension of sl4 by its adjoint module, zero right
-    action: the sl3 bundle's construction one rank up."""
+def sln_matrices(n: int) -> list[Matrix]:
+    """sl(n) on the basis e_ij (i != j) then h_i = e_ii - e_{i+1,i+1}."""
     def unit(i, j):
-        return Matrix(4, 4, tuple(
-            tuple(F(int((r, c) == (i, j))) for c in range(4)) for r in range(4)
+        return Matrix(n, n, tuple(
+            tuple(F(int((r, c) == (i, j))) for c in range(n)) for r in range(n)
         ))
 
-    mats = [unit(i, j) for i in range(4) for j in range(4) if i != j]
-    mats += [unit(i, i) - unit(i + 1, i + 1) for i in range(3)]
-    sl4 = LeibnizAlgebra(_table_from_matrices(mats))
-    return split_extension_zero_right(sl4, adjoint_module(sl4))
+    mats = [unit(i, j) for i in range(n) for j in range(n) if i != j]
+    return mats + [unit(i, i) - unit(i + 1, i + 1) for i in range(n - 1)]
+
+
+def sln_bundle(n: int) -> LeibnizAlgebra:
+    """The split extension of sl(n) by its adjoint module, zero right
+    action: the sl3 bundle's construction for any rank."""
+    sln = LeibnizAlgebra(_table_from_matrices(sln_matrices(n)))
+    return split_extension_zero_right(sln, adjoint_module(sln))
+
+
+@pytest.fixture(scope="session")
+def bundle_sl4():
+    """The dim-30 sl4 bundle."""
+    return sln_bundle(4)
 
 
 def change_basis(alg: LeibnizAlgebra, g: Matrix, g_inv: Matrix) -> LeibnizAlgebra:

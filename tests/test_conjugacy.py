@@ -10,7 +10,6 @@ import pytest
 from leibnizalg import (
     DistinctnessError,
     InvarianceError,
-    LinearMap,
     NotAComplementError,
     NotNilpotentError,
     Subspace,
@@ -27,13 +26,15 @@ from leibnizalg.exactlin import apply_to_subspace
 from leibnizalg.files import algebra_digest
 from leibnizalg.sampling import rational_vector
 
+from conftest import compose, identity_map, zero_map
+
 F = Fraction
 
 
 # --- derivations -----------------------------------------------------------
 
 def test_zero_map_is_a_derivation(sl2):
-    assert is_derivation(sl2, LinearMap.zero(3))
+    assert is_derivation(sl2, zero_map(3))
 
 
 def test_left_multiplications_are_derivations(zoo):
@@ -45,7 +46,7 @@ def test_left_multiplications_are_derivations(zoo):
 
 
 def test_identity_is_not_a_derivation(sl2):
-    assert not is_derivation(sl2, LinearMap.identity(3))
+    assert not is_derivation(sl2, identity_map(3))
 
 
 # --- inner derivations --------------------------------------------------------
@@ -93,7 +94,7 @@ def test_failing_report_localizes_first_pair(bundle_sl2):
 # --- exponentials ------------------------------------------------------------------
 
 def test_exp_at_zero_is_identity(bundle_sl2):
-    assert exp_inner_automorphism(bundle_sl2.L, [0] * 6) == LinearMap.identity(6)
+    assert exp_inner_automorphism(bundle_sl2.L, [0] * 6) == identity_map(6)
 
 
 def test_exp_at_e_maps_s_onto_s(bundle_sl2):
@@ -190,6 +191,6 @@ def test_words_of_exponentials_fix_s(bundle_sl2):
     for g in exps:
         assert apply_to_subspace(g.matrix, bundle_sl2.S) == bundle_sl2.S
     for g, h in itertools.product(exps, repeat=2):
-        w = g.compose(h)
+        w = compose(g, h)
         assert apply_to_subspace(w.matrix, bundle_sl2.S) == bundle_sl2.S
         assert apply_to_subspace(w.matrix, bundle_sl2.S) != bundle_sl2.S1

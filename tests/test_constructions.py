@@ -1,6 +1,7 @@
 """Catalog entries, adjoint modules, split extensions, bundles, and
 diagonal complements."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from leibnizalg import (
     Matrix,
     NotLieError,
+    StructureTable,
     Subspace,
     UnknownAlgebraError,
     adjoint_module,
@@ -19,14 +21,16 @@ from leibnizalg import (
     leibniz_levi,
     product,
     simple_algebra,
+    solve_affine,
     soluble_radical,
     split_extension_zero_right,
     subspace_product,
     subspace_sum,
     verify_levi,
 )
+from leibnizalg.constructions import _table_from_matrices
 
-from conftest import module_law_report, trivial_action
+from conftest import module_law_report, random_invertible, sln_matrices, trivial_action
 
 F = Fraction
 
@@ -80,6 +84,85 @@ def test_sl3_entry(sl3):
 def test_unknown_name(sl2):
     with pytest.raises(UnknownAlgebraError):
         simple_algebra("e8")
+
+
+# --- matrix Lie algebras -------------------------------------------------------
+#
+# ``_table_from_matrices`` forms each bracket from the generators' nonzero
+# entries and reads its coordinates with a left inverse found by one solve
+# per generator.  This is the builder it replaced: two dense products and
+# one solve per bracket.  On independent generators the two must agree.
+
+def oracle_table_from_matrices(mats):
+    n = len(mats)
+    size = mats[0].rows
+    flat_cols = Matrix(size * size, n, tuple(
+        tuple(mats[t].entries[i][j] for t in range(n))
+        for i in range(size) for j in range(size)
+    ))
+    grid = []
+    for a in mats:
+        plane = []
+        for b in mats:
+            bracket = (a @ b) - (b @ a)
+            flat = tuple(bracket.entries[i][j] for i in range(size) for j in range(size))
+            solved = solve_affine(flat_cols, flat)
+            if solved is None:
+                raise ValueError("bracket escapes the span of the generators")
+            plane.append(solved[0])
+        grid.append(tuple(plane))
+    return StructureTable(n, tuple(grid))
+
+
+SL2_MATRICES = [Matrix.from_rows(m) for m in (
+    [[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]])]
+SO3_MATRICES = [Matrix.from_rows(m) for m in (
+    [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+    [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+    [[0, -1, 0], [1, 0, 0], [0, 0, 0]])]
+
+
+def recombined_sl3_matrices(seed):
+    """The sl3 generators under a seeded invertible change of basis with
+    rational entries: every generator is a dense mix of all eight."""
+    rng = random.Random(seed)
+    g = random_invertible(rng, 8)
+    scales = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
+    mats = sln_matrices(3)
+    out = []
+    for t in range(8):
+        m = Matrix.zeros(3, 3)
+        for s, gen in enumerate(mats):
+            if g.entries[s][t]:
+                m = m + gen.scale(g.entries[s][t] * scales[t])
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("mats", [
+    SL2_MATRICES, SO3_MATRICES, sln_matrices(3), sln_matrices(4), sln_matrices(5),
+    recombined_sl3_matrices(0), recombined_sl3_matrices(1),
+], ids=["sl2", "so3", "sl3", "sl4", "sl5", "sl3-recombined-0", "sl3-recombined-1"])
+def test_matrix_algebra_tables_match_the_per_bracket_oracle(mats):
+    assert _table_from_matrices(mats) == oracle_table_from_matrices(mats)
+
+
+def test_matrix_algebra_tables_of_the_catalog(sl2, so3):
+    """The catalog writes sl2 and so3 out by hand."""
+    assert _table_from_matrices(SL2_MATRICES) == sl2.table
+    assert _table_from_matrices(SO3_MATRICES) == so3.table
+
+
+def test_dependent_generators_are_rejected():
+    e, h, f = SL2_MATRICES
+    with pytest.raises(ValueError, match="linearly dependent"):
+        _table_from_matrices([e, h, f, e + h.scale(F(1, 2))])
+
+
+def test_bracket_outside_the_span_is_rejected():
+    e, _, f = SL2_MATRICES
+    with pytest.raises(ValueError, match="escapes the span"):
+        _table_from_matrices([e, f])
 
 
 # --- adjoint module -----------------------------------------------------------

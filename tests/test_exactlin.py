@@ -20,6 +20,8 @@ from leibnizalg import (
 )
 from leibnizalg.exactlin import as_vector
 
+from conftest import compose, identity_map, zero_map
+
 F = Fraction
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -236,6 +238,67 @@ def test_particular_solution_sets_free_variables_to_zero():
     assert hom.dim == 3
 
 
+# --- matrix times vector --------------------------------------------------
+#
+# Matrix.apply runs on integers; this is the Fraction evaluation it
+# replaced, which it must match exactly.
+
+def dense_apply(m: Matrix, v) -> tuple:
+    return tuple(sum((a * F(x) for a, x in zip(row, v)), F(0)) for row in m.entries)
+
+
+def check_apply(m: Matrix, v) -> None:
+    got = m.apply(v)
+    assert got == dense_apply(m, v)
+    assert all(type(x) is F for x in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_apply_matches_fractions_on_sparse_matrices(m, data):
+    check_apply(m, data.draw(st.lists(mostly_zero, min_size=m.cols, max_size=m.cols)))
+    check_apply(m, [0] * m.cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_entry_matrices(), st.data())
+def test_apply_matches_fractions_on_40_bit_entries(m, data):
+    check_apply(m, data.draw(st.lists(forty_bit, min_size=m.cols, max_size=m.cols)))
+    check_apply(m, [0] * m.cols)
+
+
+@pytest.mark.parametrize("m", [
+    Matrix.from_rows([], cols=0),
+    Matrix.from_rows([], cols=3),
+    Matrix.from_rows([[], []]),
+], ids=["0x0", "0x3", "2x0"])
+def test_apply_on_empty_shapes(m):
+    check_apply(m, (F(0),) * m.cols)
+    assert m.apply([1] * m.cols) == (F(0),) * m.rows
+
+
+def test_apply_with_a_1000_digit_entry():
+    big = F(10 ** 1000 - 1, 7 ** 1000)
+    m = Matrix.from_rows([[big, F(1, 3), 0], [0, 0, 0], [F(-2), big, F(5, 6)]])
+    for v in ([1, 0, 0], [F(1, 2), F(-3, 4), F(7, 9)], [0, big, 1], [0, 0, 0]):
+        check_apply(m, v)
+
+
+def test_applied_matrix_compares_hashes_and_prints_as_a_fresh_copy():
+    rows = [[F(1, 2), 0, F(3)], [0, F(-5, 7), F(1, 3)]]
+    used, fresh = Matrix.from_rows(rows), Matrix.from_rows(rows)
+    assert used.apply([1, 2, 3]) == (F(19, 2), F(-3, 7))
+    assert vars(used)["_scaled_columns"] and "_scaled_columns" not in vars(fresh)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[1, 2]]).apply([1, 2, 3])
+
+
 # --- as_vector ------------------------------------------------------------
 
 def test_as_vector_returns_an_exact_tuple_unchanged():
@@ -419,7 +482,7 @@ def test_subspace_coordinates_roundtrip():
 # --- exponentials -------------------------------------------------------
 
 def test_exp_zero_is_identity():
-    assert exp_nilpotent(LinearMap.zero(3)) == LinearMap.identity(3)
+    assert exp_nilpotent(zero_map(3)) == identity_map(3)
 
 
 def test_exp_single_jordan_block():
@@ -429,7 +492,7 @@ def test_exp_single_jordan_block():
 
 def test_exp_rejects_identity():
     with pytest.raises(NotNilpotentError):
-        exp_nilpotent(LinearMap.identity(2))
+        exp_nilpotent(identity_map(2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,4 +504,4 @@ def test_exp_inverse_of_negation(n, data):
             rows[i][j] = data.draw(rationals)
     d = LinearMap(n, Matrix.from_rows(rows))
     neg = LinearMap(n, d.matrix.scale(F(-1)))
-    assert exp_nilpotent(d).compose(exp_nilpotent(neg)) == LinearMap.identity(n)
+    assert compose(exp_nilpotent(d), exp_nilpotent(neg)) == identity_map(n)

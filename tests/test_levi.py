@@ -41,6 +41,7 @@ from conftest import (
     module_law_report,
     random_invertible,
     sl2_irrep,
+    sln_bundle,
     sympy_rank,
     trivial_action,
 )
@@ -257,6 +258,23 @@ def test_sl4_bundle_splits_within_budget(bundle_sl4):
     assert dec.radical.dim == 15
     assert dec.witnesses.all_pass
     assert verify_levi(bundle_sl4, dec.semisimple_part).all_pass
+    assert elapsed < 30.0
+
+
+def test_sl5_bundle_builds_and_splits_within_budget():
+    """The dim-48 rung: sl5 from its 24 generator matrices, its bundle,
+    and the split, on one budget."""
+    start = time.monotonic()
+    bundle = sln_bundle(5)
+    dec = leibniz_levi(bundle)
+    elapsed = time.monotonic() - start
+    assert bundle.dim == 48
+    assert dec.radical.dim == 24
+    assert dec.semisimple_part.dim == 24
+    assert dec.witnesses.as_dict() == {
+        "sum_is_full": True, "intersection_is_zero": True,
+        "closed_under_product": True, "complement_semisimple": True,
+    }
     assert elapsed < 30.0
 
 
