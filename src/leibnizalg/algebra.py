@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     Matrix,
-    LinearMap,
     Subspace,
     Vector,
     _echelon,
@@ -324,7 +323,7 @@ def is_lie(alg: LeibnizAlgebra) -> bool:
     return True
 
 
-def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> LinearMap:
+def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> Matrix:
     """The operator x -> a.x; column j is the product a . b_j."""
     av = as_vector(a)
     if len(av) != alg.dim:
@@ -338,7 +337,7 @@ def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> LinearMap:
         for j, pairs in nonzero[i].items():
             for k, e in pairs:
                 rows[k][j] += ai * e
-    return LinearMap(n, Matrix(n, n, tuple(tuple(row) for row in rows)))
+    return Matrix(n, n, tuple(tuple(row) for row in rows))
 
 
 def _scaled_span(table: StructureTable, sums: Iterable[Mapping[int, int]]) -> Subspace:

@@ -84,7 +84,10 @@ class _Report:
         lines = [f"command: {self.data['command']}"]
         for key, value in self.data["arguments"].items():
             lines.append(f"  {key}: {value}")
-        lines.append(f"input_digest: {self.data['input_digest']}")
+        digest = self.data["input_digest"]
+        if isinstance(digest, dict):  # conjugacy: the algebra and both subspaces
+            digest = json.dumps(digest)
+        lines.append(f"input_digest: {digest}")
         for check in self.data["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             lines.append(f"check {check['name']}: {status}")

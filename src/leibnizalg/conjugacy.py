@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 from .algebra import (
     LeibnizAlgebra,
-    _dense_sum,
     _derivation_failures,
     left_multiplication,
     product,
 )
 from .exactlin import (
-    LinearMap,
+    Matrix,
     NotNilpotentError,
     Subspace,
     Vector,
@@ -107,19 +106,19 @@ class NonConjugacyCertificate:
     claim: str
 
 
-def is_derivation(alg: LeibnizAlgebra, d: LinearMap) -> bool:
+def is_derivation(alg: LeibnizAlgebra, d: Matrix) -> bool:
     """d(x.y) = d(x).y + x.d(y) on all basis pairs."""
-    if d.dim != alg.dim:
+    if (d.rows, d.cols) != (alg.dim, alg.dim):
         raise ValueError("map dimension differs from algebra dimension")
     images = {}
-    for m in range(d.dim):
-        pairs = tuple((k, e) for k, e in enumerate(d.matrix.column(m)) if e)
+    for m in range(alg.dim):
+        pairs = tuple((k, e) for k, e in enumerate(d.column(m)) if e)
         if pairs:
             images[m] = pairs
     return next(_derivation_failures(alg.table.nonzero, images), None) is None
 
 
-def inner_derivation(alg: LeibnizAlgebra, x) -> LinearMap:
+def inner_derivation(alg: LeibnizAlgebra, x) -> Matrix:
     """Left multiplication by x; a derivation whenever the algebra is valid."""
     return left_multiplication(alg, as_vector(x))
 
@@ -134,9 +133,9 @@ def invariance_check(alg: LeibnizAlgebra, u: Subspace) -> InvarianceReport:
         raise ValueError("ambient dimension differs from algebra dimension")
     rows = []
     for i in range(alg.dim):
-        d = inner_derivation(alg, alg.basis_vector(i))
+        b = alg.basis_vector(i)
         failing = next(
-            (t for t, r in enumerate(u.rows()) if not u.contains(d(r))),
+            (t for t, r in enumerate(u.rows()) if not u.contains(product(alg, b, r))),
             None,
         )
         rows.append(InvarianceRow(
@@ -148,20 +147,18 @@ def invariance_check(alg: LeibnizAlgebra, u: Subspace) -> InvarianceReport:
     return InvarianceReport(tuple(rows))
 
 
-def exp_inner_automorphism(alg: LeibnizAlgebra, x) -> LinearMap:
+def exp_inner_automorphism(alg: LeibnizAlgebra, x) -> Matrix:
     """Exponential of the inner derivation at x (x nilpotent required).
 
-    The result is checked to be an algebra automorphism on basis pairs
-    before it is returned.
+    The result is checked to be an algebra automorphism on basis pairs,
+    g(b_i.b_j) = g(b_i).g(b_j), before it is returned.
     """
     g = exp_nilpotent(inner_derivation(alg, x))
     n = alg.dim
-    cols = [g.matrix.column(j) for j in range(n)]
-    images = [tuple((m, e) for m, e in enumerate(col) if e) for col in cols]
-    for i, products in enumerate(alg.table.nonzero):
+    cols = [g.column(j) for j in range(n)]
+    for i in range(n):
         for j in range(n):
-            image = _dense_sum(n, ((e, images[k]) for k, e in products.get(j, ())))
-            if image != product(alg, cols[i], cols[j]):
+            if g.apply(alg.table.row(i, j)) != product(alg, cols[i], cols[j]):
                 raise AssertionError("exponential is not an automorphism; "
                                      "the algebra is inconsistent")
     return g
@@ -204,7 +201,7 @@ def non_conjugacy_certificate(alg: LeibnizAlgebra, s: Subspace,
         exp_checks.append(ExpCheck(
             basis_index=i,
             label=alg.labels[i],
-            passed=apply_to_subspace(g.matrix, s) == s,
+            passed=apply_to_subspace(g, s) == s,
         ))
     claim = (
         "the two subspaces are distinct complements of the radical, and every "

@@ -15,7 +15,6 @@ from .algebra import (
     product,
 )
 from .exactlin import (
-    LinearMap,
     Matrix,
     Subspace,
     as_scalar,
@@ -40,13 +39,13 @@ class ModuleAction:
 
     acting_dim: int
     space_dim: int
-    rho: tuple[LinearMap, ...]
+    rho: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
         if len(self.rho) != self.acting_dim:
             raise ValueError("one operator per acting basis element required")
-        if any(m.dim != self.space_dim for m in self.rho):
-            raise ValueError("operator dimension differs from space_dim")
+        if any((m.rows, m.cols) != (self.space_dim, self.space_dim) for m in self.rho):
+            raise ValueError("operator is not space_dim x space_dim")
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def split_extension_zero_right(salg: LeibnizAlgebra, action: ModuleAction,
         for j, pairs in salg.table.nonzero[i].items():
             for k, e in pairs:
                 grid[i][j][k] = e
-        rho = action.rho[i].matrix
+        rho = action.rho[i]
         for j in range(md):
             for k in range(md):
                 e = rho.entries[k][j]

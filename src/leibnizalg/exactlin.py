@@ -15,11 +15,12 @@ written back, one division by the pivot entry per entry.  The RREF is
 unique, so this gives the same bases, pivots and solutions as
 Gauss-Jordan over Fractions.
 
-Matrix-vector products (``Matrix.apply``, and through it ``LinearMap``
-and ``apply_to_subspace``) run on integers too: each matrix keeps the
-columns it has met scaled by their own denominators, the vector is
-scaled once, and each output coordinate is one integer sum and at most
-one Fraction.
+``Matrix`` is the one type for linear maps.  Matrix-vector products
+(``Matrix.apply``, and through it ``apply_to_subspace``) run on integers
+too: each matrix keeps the columns it has met scaled by their own
+denominators, the vector is scaled once, and each output coordinate is
+one integer sum and at most one Fraction.  The dense sums, scalings and
+products of matrices serve ``exp_nilpotent`` and the sl3 generators.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def vec_is_zero(x: Vector) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rows x cols grid of rationals."""
+    """Immutable rows x cols grid of rationals.  As a linear map it acts
+    on column vectors: column j is the image of the j-th basis vector."""
 
     rows: int
     cols: int
@@ -475,35 +477,16 @@ def apply_to_subspace(m: Matrix, u: Subspace) -> Subspace:
     return Subspace(m.rows, [m.apply(r) for r in u.rows()])
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """A square matrix acting on column vectors.
+def exp_nilpotent(d: Matrix) -> Matrix:
+    """Exact exponential of a nilpotent square matrix via its terminating series.
 
-    Column convention: the image of the j-th basis vector is column j.
+    Raises ValueError when d is not square, and NotNilpotentError when
+    d^n != 0 for n x n d; by Cayley-Hamilton a nilpotent map on n-space
+    vanishes at the n-th power, so no further probing is needed.
     """
-
-    dim: int
-    matrix: Matrix
-
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
-            raise ValueError("matrix is not dim x dim")
-
-    def __call__(self, v: Sequence[object]) -> Vector:
-        return self.matrix.apply(v)
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
-
-def exp_nilpotent(d: LinearMap) -> LinearMap:
-    """Exact exponential of a nilpotent map via its terminating series.
-
-    Raises NotNilpotentError when d^dim != 0; by Cayley-Hamilton a
-    nilpotent map on dim-space vanishes at the dim-th power, so no
-    further probing is needed.
-    """
-    n = d.dim
+    n = d.rows
+    if d.cols != n:
+        raise ValueError("matrix is not square")
     total = Matrix.zeros(n, n)
     power = Matrix.identity(n)
     k = 0
@@ -511,6 +494,6 @@ def exp_nilpotent(d: LinearMap) -> LinearMap:
         if k == n:
             raise NotNilpotentError(f"map has nonzero {n}-th power")
         total = total + power.scale(Fraction(1, factorial(k)))
-        power = power @ d.matrix
+        power = power @ d
         k += 1
-    return LinearMap(n, total)
+    return total

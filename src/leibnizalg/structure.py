@@ -36,16 +36,6 @@ class DerivedSeries:
         return tuple(t.dim for t in self.terms)
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    dim: int
-    gram: Matrix
-
-    def is_nondegenerate(self) -> bool:
-        _, _, rank = rref(self.gram)
-        return rank == self.dim
-
-
 def _per_table(
         compute: Callable[[LeibnizAlgebra], Subspace]) -> Callable[[LeibnizAlgebra], Subspace]:
     """Memoise ``compute``, which reads nothing of an algebra but its
@@ -102,8 +92,8 @@ def is_soluble(alg: LeibnizAlgebra, u: Subspace) -> bool:
     return derived_series(alg, u).reaches_zero
 
 
-def killing_form(alg: LeibnizAlgebra) -> BilinearForm:
-    """gram[i][j] = trace(ad b_i o ad b_j); defined for Lie algebras only."""
+def killing_form(alg: LeibnizAlgebra) -> Matrix:
+    """Gram matrix gram[i][j] = trace(ad b_i o ad b_j); Lie algebras only."""
     if not is_lie(alg):
         raise NotLieError("Killing form of a non-Lie algebra")
     n = alg.dim
@@ -121,7 +111,7 @@ def killing_form(alg: LeibnizAlgebra) -> BilinearForm:
                     if f:
                         t += e * f
             gram[i][j] = gram[j][i] = t
-    return BilinearForm(n, Matrix(n, n, tuple(tuple(row) for row in gram)))
+    return Matrix(n, n, tuple(tuple(row) for row in gram))
 
 
 def _lie_radical(alg: LeibnizAlgebra) -> Subspace:
@@ -130,7 +120,7 @@ def _lie_radical(alg: LeibnizAlgebra) -> Subspace:
     derived = subspace_product(alg, Subspace.full(alg.dim), Subspace.full(alg.dim))
     if derived.is_zero():
         return Subspace.full(alg.dim)
-    gram = killing_form(alg).gram
+    gram = killing_form(alg)
     constraints = Matrix(derived.dim, alg.dim, tuple(
         gram.apply(row) for row in derived.rows()
     ))
@@ -156,4 +146,4 @@ def soluble_radical(alg: LeibnizAlgebra) -> Subspace:
 
 def is_semisimple(alg: LeibnizAlgebra) -> bool:
     """Lie with nondegenerate Killing form (equivalently, zero radical)."""
-    return is_lie(alg) and killing_form(alg).is_nondegenerate()
+    return is_lie(alg) and rref(killing_form(alg))[2] == alg.dim

@@ -28,7 +28,7 @@ from leibnizalg import (
     split_extension_zero_right,
 )
 from leibnizalg.constructions import _table_from_matrices
-from leibnizalg.exactlin import LinearMap, apply_to_subspace
+from leibnizalg.exactlin import apply_to_subspace
 
 F = Fraction
 
@@ -122,19 +122,6 @@ def gl2_style(sl2):
     return algebra(4, products, labels=("e", "h", "f", "z"))
 
 
-def identity_map(n: int) -> LinearMap:
-    return LinearMap(n, Matrix.identity(n))
-
-
-def zero_map(n: int) -> LinearMap:
-    return LinearMap(n, Matrix.zeros(n, n))
-
-
-def compose(g: LinearMap, h: LinearMap) -> LinearMap:
-    """g after h."""
-    return LinearMap(g.dim, g.matrix @ h.matrix)
-
-
 def sl2_irrep(m: int) -> ModuleAction:
     """The irreducible representation of dimension m+1, acting basis (e,h,f)."""
     n = m + 1
@@ -147,16 +134,13 @@ def sl2_irrep(m: int) -> ModuleAction:
             e_rows[j - 1][j] = F(j * (m - j + 1))
         if j < m:
             f_rows[j + 1][j] = F(1)
-    maps = tuple(
-        LinearMap(n, Matrix.from_rows(rows))
-        for rows in (e_rows, h_rows, f_rows)
-    )
+    maps = tuple(Matrix.from_rows(rows) for rows in (e_rows, h_rows, f_rows))
     return ModuleAction(3, n, maps)
 
 
 def trivial_action(acting_dim: int, space_dim: int) -> ModuleAction:
     return ModuleAction(acting_dim, space_dim,
-                        tuple(zero_map(space_dim) for _ in range(acting_dim)))
+                        tuple(Matrix.zeros(space_dim, space_dim) for _ in range(acting_dim)))
 
 
 def direct_sum_actions(a: ModuleAction, b: ModuleAction) -> ModuleAction:
@@ -166,10 +150,10 @@ def direct_sum_actions(a: ModuleAction, b: ModuleAction) -> ModuleAction:
     for ma, mb in zip(a.rho, b.rho):
         rows = []
         for i in range(a.space_dim):
-            rows.append(tuple(ma.matrix.entries[i]) + (F(0),) * b.space_dim)
+            rows.append(tuple(ma.entries[i]) + (F(0),) * b.space_dim)
         for i in range(b.space_dim):
-            rows.append((F(0),) * a.space_dim + tuple(mb.matrix.entries[i]))
-        maps.append(LinearMap(n, Matrix.from_rows(rows)))
+            rows.append((F(0),) * a.space_dim + tuple(mb.entries[i]))
+        maps.append(Matrix.from_rows(rows))
     return ModuleAction(a.acting_dim, n, tuple(maps))
 
 
@@ -183,8 +167,8 @@ def module_law_report(acting: LeibnizAlgebra, action: ModuleAction) -> list[tupl
             lhs = Matrix.zeros(n, n)
             for c, m in zip(acting.table.row(i, j), action.rho, strict=True):
                 if c != 0:
-                    lhs = lhs + m.matrix.scale(c)
-            a, b = action.rho[i].matrix, action.rho[j].matrix
+                    lhs = lhs + m.scale(c)
+            a, b = action.rho[i], action.rho[j]
             if lhs != (a @ b) - (b @ a):
                 bad.append((i, j))
     return bad
@@ -214,9 +198,7 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
 
 def conjugate_action(act: ModuleAction, g: Matrix) -> ModuleAction:
     g_inv = matrix_inverse(g)
-    maps = tuple(
-        LinearMap(act.space_dim, (g @ m.matrix) @ g_inv) for m in act.rho
-    )
+    maps = tuple((g @ m) @ g_inv for m in act.rho)
     return ModuleAction(act.acting_dim, act.space_dim, maps)
 
 
@@ -229,7 +211,7 @@ def lie_semidirect(salg: LeibnizAlgebra, action: ModuleAction) -> LeibnizAlgebra
         for j in range(sd):
             for k, e in enumerate(salg.table.row(i, j)):
                 grid[i][j][k] = e
-        rho = action.rho[i].matrix
+        rho = action.rho[i]
         for j in range(md):
             for k in range(md):
                 e = rho.entries[k][j]
@@ -246,7 +228,7 @@ def moved_levi_pair():
     complements, but left multiplication by b_3 moves S out of itself."""
     alg = lie_semidirect(simple_algebra("sl2"), sl2_irrep(1))
     s = Subspace(alg.dim, [alg.basis_vector(i) for i in range(3)])
-    s1 = apply_to_subspace(exp_inner_automorphism(alg, alg.basis_vector(3)).matrix, s)
+    s1 = apply_to_subspace(exp_inner_automorphism(alg, alg.basis_vector(3)), s)
     return alg, s, s1
 
 

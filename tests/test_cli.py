@@ -391,6 +391,20 @@ def test_conjugacy_certificate(capsys, bundle_files):
     assert all(r["passed"] for r in cert["invariance_rows"])
 
 
+def test_text_digest_is_json(capsys, bundle_files):
+    # the conjugacy digest (algebra and both subspaces) is written as JSON
+    # in text reports; a plain digest string is written as it is
+    conjugacy = ["conjugacy", str(bundle_files["algebra"]),
+                 "--complement-a", str(bundle_files["S"]),
+                 "--complement-b", str(bundle_files["S1"])]
+    validate = ["validate", str(bundle_files["algebra"])]
+    for argv, parse in ((conjugacy, json.loads), (validate, str)):
+        _, text = run(capsys, *argv)
+        _, as_json = run(capsys, "--format", "json", *argv)
+        line = next(x for x in text.splitlines() if x.startswith("input_digest: "))
+        assert parse(line.removeprefix("input_digest: ")) == json.loads(as_json)["input_digest"]
+
+
 def test_conjugacy_same_subspace(capsys, bundle_files):
     code, _ = run(capsys, "conjugacy", str(bundle_files["algebra"]),
                   "--complement-a", str(bundle_files["S"]),

@@ -10,6 +10,7 @@ import pytest
 from leibnizalg import (
     DistinctnessError,
     InvarianceError,
+    Matrix,
     NotAComplementError,
     NotNilpotentError,
     Subspace,
@@ -22,11 +23,10 @@ from leibnizalg import (
     product,
     verify_levi,
 )
+from leibnizalg import conjugacy
 from leibnizalg.exactlin import apply_to_subspace
 from leibnizalg.files import algebra_digest
 from leibnizalg.sampling import rational_vector
-
-from conftest import compose, identity_map, zero_map
 
 F = Fraction
 
@@ -34,7 +34,7 @@ F = Fraction
 # --- derivations -----------------------------------------------------------
 
 def test_zero_map_is_a_derivation(sl2):
-    assert is_derivation(sl2, zero_map(3))
+    assert is_derivation(sl2, Matrix.zeros(3, 3))
 
 
 def test_left_multiplications_are_derivations(zoo):
@@ -46,7 +46,13 @@ def test_left_multiplications_are_derivations(zoo):
 
 
 def test_identity_is_not_a_derivation(sl2):
-    assert not is_derivation(sl2, identity_map(3))
+    assert not is_derivation(sl2, Matrix.identity(3))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (4, 4)])
+def test_is_derivation_rejects_a_map_of_the_wrong_shape(sl2, shape):
+    with pytest.raises(ValueError, match="map dimension differs"):
+        is_derivation(sl2, Matrix.zeros(*shape))
 
 
 # --- inner derivations --------------------------------------------------------
@@ -94,13 +100,13 @@ def test_failing_report_localizes_first_pair(bundle_sl2):
 # --- exponentials ------------------------------------------------------------------
 
 def test_exp_at_zero_is_identity(bundle_sl2):
-    assert exp_inner_automorphism(bundle_sl2.L, [0] * 6) == identity_map(6)
+    assert exp_inner_automorphism(bundle_sl2.L, [0] * 6) == Matrix.identity(6)
 
 
 def test_exp_at_e_maps_s_onto_s(bundle_sl2):
     g = exp_inner_automorphism(bundle_sl2.L, bundle_sl2.L.basis_vector(0))
-    assert g.matrix.entries[0][1] != 0  # genuinely unipotent, not identity
-    assert apply_to_subspace(g.matrix, bundle_sl2.S) == bundle_sl2.S
+    assert g.entries[0][1] != 0  # genuinely unipotent, not identity
+    assert apply_to_subspace(g, bundle_sl2.S) == bundle_sl2.S
 
 
 def test_exp_rejects_semisimple_elements(sl2):
@@ -117,8 +123,8 @@ def test_exp_is_an_automorphism_and_fixes_kernel(bundle_sl2):
         for _ in range(5):
             u = rational_vector(rng, 6)
             v = rational_vector(rng, 6)
-            assert g(product(alg, u, v)) == product(alg, g(u), g(v))
-        assert apply_to_subspace(g.matrix, kern) == kern
+            assert g.apply(product(alg, u, v)) == product(alg, g.apply(u), g.apply(v))
+        assert apply_to_subspace(g, kern) == kern
 
 
 # --- certificate ----------------------------------------------------------------------
@@ -177,6 +183,17 @@ def test_sl3_certificate(bundle_sl3):
     assert all(c.passed for c in cert.exp_checks)
 
 
+def test_one_left_multiplication_per_basis_element(monkeypatch, bundle_sl3):
+    # the invariance check multiplies through the table; only the
+    # exponential checks build the map
+    calls = []
+    real = conjugacy.left_multiplication
+    monkeypatch.setattr(conjugacy, "left_multiplication",
+                        lambda alg, a: calls.append(1) or real(alg, a))
+    non_conjugacy_certificate(bundle_sl3.L, bundle_sl3.S, bundle_sl3.S1)
+    assert len(calls) == bundle_sl3.L.dim
+
+
 def test_words_of_exponentials_fix_s(bundle_sl2):
     """Every length <= 2 word in the nilpotent basis exponentials maps S
     onto S, the checkable core of the non-conjugacy argument."""
@@ -189,8 +206,8 @@ def test_words_of_exponentials_fix_s(bundle_sl2):
             continue
     assert len(exps) == 5  # e, f and the three zero maps from the kernel block
     for g in exps:
-        assert apply_to_subspace(g.matrix, bundle_sl2.S) == bundle_sl2.S
+        assert apply_to_subspace(g, bundle_sl2.S) == bundle_sl2.S
     for g, h in itertools.product(exps, repeat=2):
-        w = compose(g, h)
-        assert apply_to_subspace(w.matrix, bundle_sl2.S) == bundle_sl2.S
-        assert apply_to_subspace(w.matrix, bundle_sl2.S) != bundle_sl2.S1
+        w = g @ h
+        assert apply_to_subspace(w, bundle_sl2.S) == bundle_sl2.S
+        assert apply_to_subspace(w, bundle_sl2.S) != bundle_sl2.S1

@@ -8,6 +8,7 @@ import pytest
 
 from leibnizalg import (
     Matrix,
+    ModuleAction,
     NotLieError,
     StructureTable,
     Subspace,
@@ -174,8 +175,15 @@ def test_adjoint_of_abelian_is_zero(abelian2):
 
 def test_adjoint_of_sl2(sl2):
     act = adjoint_module(sl2)
-    assert act.rho[1].matrix == Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
+    assert act.rho[1] == Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
     assert module_law_report(sl2, act) == []
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2, 2), (4, 4)])
+def test_module_action_rejects_an_operator_of_the_wrong_shape(sl2, shape):
+    rho = adjoint_module(sl2).rho
+    with pytest.raises(ValueError, match="not space_dim x space_dim"):
+        ModuleAction(3, 3, (rho[0], Matrix.zeros(*shape), rho[2]))
 
 
 def test_adjoint_requires_lie(square_algebra):

@@ -8,7 +8,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from leibnizalg import (
-    LinearMap,
     Matrix,
     NotNilpotentError,
     Subspace,
@@ -19,8 +18,6 @@ from leibnizalg import (
     subspace_sum,
 )
 from leibnizalg.exactlin import as_vector
-
-from conftest import compose, identity_map, zero_map
 
 F = Fraction
 
@@ -482,17 +479,23 @@ def test_subspace_coordinates_roundtrip():
 # --- exponentials -------------------------------------------------------
 
 def test_exp_zero_is_identity():
-    assert exp_nilpotent(zero_map(3)) == identity_map(3)
+    assert exp_nilpotent(Matrix.zeros(3, 3)) == Matrix.identity(3)
 
 
 def test_exp_single_jordan_block():
-    d = LinearMap(2, Matrix.from_rows([[0, 1], [0, 0]]))
-    assert exp_nilpotent(d).matrix == Matrix.from_rows([[1, 1], [0, 1]])
+    d = Matrix.from_rows([[0, 1], [0, 0]])
+    assert exp_nilpotent(d) == Matrix.from_rows([[1, 1], [0, 1]])
 
 
 def test_exp_rejects_identity():
     with pytest.raises(NotNilpotentError):
-        exp_nilpotent(identity_map(2))
+        exp_nilpotent(Matrix.identity(2))
+
+
+def test_exp_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="not square") as info:
+        exp_nilpotent(Matrix.zeros(2, 3))
+    assert info.type is ValueError
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,6 +505,5 @@ def test_exp_inverse_of_negation(n, data):
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = data.draw(rationals)
-    d = LinearMap(n, Matrix.from_rows(rows))
-    neg = LinearMap(n, d.matrix.scale(F(-1)))
-    assert compose(exp_nilpotent(d), exp_nilpotent(neg)) == identity_map(n)
+    d = Matrix.from_rows(rows)
+    assert exp_nilpotent(d) @ exp_nilpotent(d.scale(F(-1))) == Matrix.identity(n)
