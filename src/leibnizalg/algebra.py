@@ -394,41 +394,31 @@ def is_ideal(alg: LeibnizAlgebra, u: Subspace) -> bool:
             and u.contains_subspace(subspace_product(alg, u, full)))
 
 
-def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matrix, Matrix]:
-    """Quotient algebra by an ideal, with projection and section maps.
+def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Subspace]:
+    """Quotient algebra by an ideal, with the lifts of its basis.
 
     The quotient basis is the non-pivot coordinates of the ideal in index
     order, so the construction is deterministic.  Returns (quotient,
-    projection, section) with projection composed with section equal to
-    the identity on the quotient.  The quotient of a Leibniz algebra
-    satisfies the identity, so it is built without rechecking it.
+    lifts), where ``lifts`` is the subspace whose RREF rows are the unit
+    vectors at those coordinates: ``embed_rows(lifts, rows)`` maps
+    quotient coordinates back.  A free basis vector maps to itself and
+    the pivot of ideal row r to minus the rest of row r.  The quotient
+    of a Leibniz algebra satisfies the identity, so it is built without
+    rechecking it.
     """
     if ideal.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
     if not is_ideal(alg, ideal):
         raise NotAnIdealError("quotient by a subspace that is not an ideal")
-    n = alg.dim
     pivot_set = set(ideal.pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    free = [c for c in range(alg.dim) if c not in pivot_set]
     q = len(free)
-
-    section = Matrix(n, q, tuple(
-        tuple(Fraction(1) if i == free[t] else _ZERO for t in range(q))
-        for i in range(n)
-    ))
-    proj_rows = []
-    for t in range(q):
-        row = [_ZERO] * n
-        row[free[t]] = Fraction(1)
-        for r, p in enumerate(ideal.pivots):
-            row[p] = -ideal.basis.entries[r][free[t]]
-        proj_rows.append(tuple(row))
-    projection = Matrix(q, n, tuple(proj_rows))
-
-    # projection of each ambient basis vector, as (quotient index, coeff) pairs
-    images = [tuple((t, e) for t, e in enumerate(projection.column(k)) if e)
-              for k in range(n)]
     position = {f: t for t, f in enumerate(free)}
+
+    # image of each ambient basis vector, as (quotient index, coeff) pairs
+    images = {f: ((t, Fraction(1)),) for t, f in enumerate(free)}
+    for p, row in zip(ideal.pivots, ideal.sparse_rows):
+        images[p] = tuple((position[c], -e) for c, e in row if c != p)
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
     for ti, f in enumerate(free):
         for j, pairs in alg.table.nonzero[f].items():
@@ -441,16 +431,16 @@ def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Matr
         labels=[alg.labels[f] for f in free],
         validate=False,
     )
-    return qalg, projection, section
+    return qalg, Subspace._from_echelon(alg.dim, [(f, 1, {f: 1}) for f in free])
 
 
 def restrict_to_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
     """The algebra induced on a subalgebra's canonical basis.
 
     Coordinates of the restricted algebra are coefficients over u's RREF
-    basis rows; map them back with ``u.basis``.  Like ``quotient``, the
-    result is built without rechecking the identity.  Raises
-    NotASubalgebraError at the first basis product outside u.
+    basis rows; map them back with ``embed_rows(u, rows)``.  Like
+    ``quotient``, the result is built without rechecking the identity.
+    Raises NotASubalgebraError at the first basis product outside u.
     """
     if u.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")

@@ -85,7 +85,7 @@ class _Report:
         for key, value in self.data["arguments"].items():
             lines.append(f"  {key}: {value}")
         digest = self.data["input_digest"]
-        if isinstance(digest, dict):  # conjugacy: the algebra and both subspaces
+        if not isinstance(digest, str):  # conjugacy's dict, or null if unread
             digest = json.dumps(digest)
         lines.append(f"input_digest: {digest}")
         for check in self.data["checks"]:

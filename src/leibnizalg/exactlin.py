@@ -460,7 +460,9 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 def embed_rows(u: Subspace, rows: Iterable[Sequence[object]]) -> Subspace:
     """Span of the combinations sum_t r[t] * (basis row t of u), one per
-    coefficient row r: u-coordinates mapped back to the ambient space."""
+    coefficient row r: u-coordinates mapped back to the ambient space.
+    It maps back both the coordinates of a restriction to u and, with u
+    the lifts that ``quotient`` returns, quotient coordinates."""
     out = []
     for r in rows:
         w = [_ZERO] * u.ambient_dim

@@ -110,9 +110,9 @@ def _abelian_complement(alg: LeibnizAlgebra, ideal: Subspace) -> Subspace:
     then the u_i + a_i multiply exactly as the quotient basis does.
     Raises NoSolutionError when the system is inconsistent.
     """
-    qalg, _, section = quotient(alg, ideal)
+    qalg, lift_space = quotient(alg, ideal)
     q, r = qalg.dim, ideal.dim
-    lifts = [section.apply(qalg.basis_vector(i)) for i in range(q)]
+    lifts = lift_space.rows()
     basis = ideal.rows()
 
     def coords(v) -> tuple[Fraction, ...]:
@@ -175,14 +175,13 @@ def _split(alg: LeibnizAlgebra, rad: Subspace) -> Subspace:
     rad_sq = subspace_product(alg, rad, rad)
     if rad_sq.is_zero():
         return _abelian_complement(alg, rad)
-    # L/(R·R) has the abelian radical R/(R·R); its complement pulls back
-    # to a subalgebra P whose radical is R·R
-    qalg, projection, section = quotient(alg, rad_sq)
-    s_bar = _split(qalg, Subspace(qalg.dim, [projection.apply(w) for w in rad.rows()]))
-    pre = subspace_sum(
-        Subspace(alg.dim, [section.apply(row) for row in s_bar.rows()]),
-        rad_sq,
-    )
+    # L/(R·R) has the abelian radical R/(R·R), the rows of R reduced
+    # modulo R·R and read at the free coordinates; its complement pulls
+    # back to a subalgebra P whose radical is R·R
+    qalg, lifts = quotient(alg, rad_sq)
+    residuals = [rad_sq._eliminate(w)[1] for w in rad.rows()]
+    s_bar = _split(qalg, Subspace(qalg.dim, [[x[f] for f in lifts.pivots] for x in residuals]))
+    pre = subspace_sum(embed_rows(lifts, s_bar.rows()), rad_sq)
     sub = restrict_to_subalgebra(alg, pre)
     inner = _split(sub, Subspace(pre.dim, [pre.coordinates(w) for w in rad_sq.rows()]))
     return embed_rows(pre, inner.rows())

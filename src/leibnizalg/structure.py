@@ -17,7 +17,7 @@ from .algebra import (
     quotient,
     subspace_product,
 )
-from .exactlin import Matrix, Subspace, kernel_basis, rref, subspace_sum
+from .exactlin import Matrix, Subspace, embed_rows, kernel_basis, rref, subspace_sum
 
 _ZERO = Fraction(0)
 
@@ -133,15 +133,13 @@ def soluble_radical(alg: LeibnizAlgebra) -> Subspace:
 
     Reduce modulo the squares ideal (a soluble ideal contained in every
     candidate), take the Lie quotient's radical by the Killing criterion,
-    and pull back along the section.
+    and pull it back with ``embed_rows`` over the quotient's lifts.
     """
     kern = leibniz_kernel(alg)
     if kern.is_full():
         return kern
-    qalg, _, section = quotient(alg, kern)
-    rad_q = _lie_radical(qalg)
-    lifted = [section.apply(row) for row in rad_q.rows()]
-    return subspace_sum(Subspace(alg.dim, lifted), kern)
+    qalg, lifts = quotient(alg, kern)
+    return subspace_sum(embed_rows(lifts, _lie_radical(qalg).rows()), kern)
 
 
 def is_semisimple(alg: LeibnizAlgebra) -> bool:

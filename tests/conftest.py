@@ -274,15 +274,17 @@ def zoo(sl2, so3, square_algebra, abelian2, nonabelian2, heisenberg, gl2_style,
     ]
 
 
+def unit_matrix(n: int, i: int, j: int) -> Matrix:
+    """The n x n matrix e_ij."""
+    return Matrix(n, n, tuple(
+        tuple(F(int((r, c) == (i, j))) for c in range(n)) for r in range(n)
+    ))
+
+
 def sln_matrices(n: int) -> list[Matrix]:
     """sl(n) on the basis e_ij (i != j) then h_i = e_ii - e_{i+1,i+1}."""
-    def unit(i, j):
-        return Matrix(n, n, tuple(
-            tuple(F(int((r, c) == (i, j))) for c in range(n)) for r in range(n)
-        ))
-
-    mats = [unit(i, j) for i in range(n) for j in range(n) if i != j]
-    return mats + [unit(i, i) - unit(i + 1, i + 1) for i in range(n - 1)]
+    mats = [unit_matrix(n, i, j) for i in range(n) for j in range(n) if i != j]
+    return mats + [unit_matrix(n, i, i) - unit_matrix(n, i + 1, i + 1) for i in range(n - 1)]
 
 
 def sln_bundle(n: int) -> LeibnizAlgebra:

@@ -27,7 +27,7 @@ from leibnizalg import (
     soluble_radical,
     subspace_product,
 )
-from leibnizalg.exactlin import Matrix, vec_add
+from leibnizalg.exactlin import Matrix, embed_rows, vec_add
 from leibnizalg.sampling import rational_vector
 
 from conftest import dense_product, leibniz_algebras, sympy_rank
@@ -448,23 +448,62 @@ def test_bundle_blocks(bundle_sl2):
 
 # --- quotient -----------------------------------------------------------
 
+def dense_projection(alg, ideal):
+    """The q x n projection onto the quotient by ideal, built densely: row
+    t has 1 at free[t] and, at each pivot p_r, minus row r's entry at
+    free[t]."""
+    free = [c for c in range(alg.dim) if c not in ideal.pivots]
+    rows = []
+    for f in free:
+        row = [F(0)] * alg.dim
+        row[f] = F(1)
+        for p, basis_row in zip(ideal.pivots, ideal.rows()):
+            row[p] = -basis_row[f]
+        rows.append(row)
+    return free, Matrix.from_rows(rows, cols=alg.dim)
+
+
+def assert_quotient_matches_projection(alg, ideal):
+    """pi is a homomorphism onto the quotient, the lifts are the unit
+    vectors at the free coordinates, and pi undoes their embedding."""
+    qalg, lifts = quotient(alg, ideal)
+    free, pi = dense_projection(alg, ideal)
+    assert qalg.dim == len(free)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert pi.apply(alg.table.row(i, j)) == product(qalg, pi.column(i), pi.column(j))
+    assert lifts.rows() == tuple(alg.basis_vector(f) for f in free)
+    identity = Matrix.identity(qalg.dim)
+    embedded = embed_rows(lifts, identity.entries).rows()
+    assert Matrix(qalg.dim, qalg.dim, tuple(pi.apply(r) for r in embedded)) == identity
+
+
 def test_quotient_by_zero_is_a_copy(sl2):
-    qalg, proj, sect = quotient(sl2, Subspace.zero(3))
+    qalg, _ = quotient(sl2, Subspace.zero(3))
     assert qalg.table == sl2.table
-    assert proj @ sect == Matrix.identity(3)
+    assert_quotient_matches_projection(sl2, Subspace.zero(3))
 
 
 def test_bundle_modulo_kernel_looks_like_sl2(bundle_sl2, sl2):
-    qalg, proj, sect = quotient(bundle_sl2.L, bundle_sl2.K)
+    qalg, _ = quotient(bundle_sl2.L, bundle_sl2.K)
     assert qalg.dim == 3
     assert is_lie(qalg)
     assert is_semisimple(qalg)
     assert qalg.table == sl2.table  # first block carries the same constants
-    assert proj @ sect == Matrix.identity(3)
+    assert_quotient_matches_projection(bundle_sl2.L, bundle_sl2.K)
+
+
+@settings(max_examples=30, deadline=None)
+@given(leibniz_algebras())
+def test_quotient_matches_the_dense_projection(known):
+    # the change of basis leaves nonzero free-column entries in the
+    # ideals' RREF rows, so pi has entries off the free columns
+    for ideal in (known.squares, known.radical):
+        assert_quotient_matches_projection(known.alg, ideal)
 
 
 def test_square_algebra_quotient(square_algebra):
-    qalg, _, _ = quotient(square_algebra, Subspace(2, [[0, 1]]))
+    qalg, _ = quotient(square_algebra, Subspace(2, [[0, 1]]))
     assert qalg.dim == 1
     assert qalg.table.row(0, 0) == (F(0),)
 
@@ -476,7 +515,7 @@ def test_quotient_requires_an_ideal(sl2):
 
 def test_quotient_by_kernel_is_lie(zoo):
     for _, alg in zoo:
-        qalg, _, _ = quotient(alg, leibniz_kernel(alg))
+        qalg, _ = quotient(alg, leibniz_kernel(alg))
         assert is_lie(qalg)
 
 
@@ -487,7 +526,7 @@ def test_quotients_and_restrictions_satisfy_the_identity(zoo):
         kern = leibniz_kernel(alg)
         rad = soluble_radical(alg)
         for ideal in (kern, rad):
-            qalg, _, _ = quotient(alg, ideal)
+            qalg, _ = quotient(alg, ideal)
             assert check_left_leibniz(qalg).ok, name
             assert_index_matches_tensor(qalg.table)
         for sub in (rad, Subspace.full(alg.dim), Subspace.zero(alg.dim)):

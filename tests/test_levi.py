@@ -17,6 +17,7 @@ from leibnizalg import (
     NotLieError,
     StructureTable,
     Subspace,
+    derived_series,
     diagonal_complement,
     is_lie,
     left_multiplication,
@@ -32,18 +33,23 @@ from leibnizalg import (
 from leibnizalg import levi
 from leibnizalg.exactlin import Matrix
 
+from leibnizalg.constructions import _table_from_matrices
+
 from conftest import (
+    change_basis,
     conjugate_action,
     dense_product,
     direct_sum_actions,
     leibniz_algebras,
     lie_semidirect,
+    matrix_inverse,
     module_law_report,
     random_invertible,
     sl2_irrep,
     sln_bundle,
     sympy_rank,
     trivial_action,
+    unit_matrix,
 )
 
 F = Fraction
@@ -232,6 +238,51 @@ def test_mixed_radical_exercises_explicit_ideal_path(mixed_radical_algebra):
     assert dec.semisimple_part.dim == 3
     assert dec.radical.dim == 5
     assert dec.witnesses.all_pass
+
+
+def sl2_plus_upper_triangular():
+    """sl2 ⊕ b(3) as 5 x 5 block matrices: sl2 (e, h, f) in the top-left
+    2 x 2 block, the upper-triangular 3 x 3 matrices in the bottom-right
+    one.  The radical b(3) has derived dims 6, 3, 1, 0."""
+    sl2_block = [unit_matrix(5, 0, 1), unit_matrix(5, 0, 0) - unit_matrix(5, 1, 1),
+                 unit_matrix(5, 1, 0)]
+    upper = [unit_matrix(5, i, j) for i in range(2, 5) for j in range(i, 5)]
+    return LeibnizAlgebra(_table_from_matrices(sl2_block + upper))
+
+
+def test_nested_derived_radical_recursion(monkeypatch):
+    # R.R is nonzero in R = b(3) and again in the radical R.R of the
+    # pulled-back subalgebra, so the R.R branch runs inside itself
+    alg = sl2_plus_upper_triangular()
+    rad = soluble_radical(alg)
+    assert [t.dim for t in derived_series(alg, rad).terms] == [6, 3, 1, 0]
+    g = random_invertible(random.Random(7), alg.dim)
+    g_inv = matrix_inverse(g)
+    moved = change_basis(alg, g, g_inv)
+
+    split = levi._split
+    depth = 0
+    branch_depths = []
+
+    def traced(a, r):
+        nonlocal depth
+        if r.is_zero() or r.is_full() or subspace_product(a, r, r).is_zero():
+            return split(a, r)
+        depth += 1
+        branch_depths.append(depth)
+        try:
+            return split(a, r)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(levi, "_split", traced)
+    dec = leibniz_levi(moved)
+    assert dec.witnesses.all_pass
+    assert dec.semisimple_part.dim == 3
+    assert dec.radical.dim == 6
+    assert branch_depths == [1, 2]
+    # sl2 commutes with R, so its block is the only complement
+    assert dec.semisimple_part == Subspace(alg.dim, [g_inv.column(k) for k in range(3)])
 
 
 @settings(max_examples=50, deadline=None)

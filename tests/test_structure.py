@@ -175,7 +175,7 @@ def test_radical_is_a_soluble_ideal_with_semisimple_quotient(zoo):
         rad = soluble_radical(alg)
         assert is_ideal(alg, rad)
         assert is_soluble(alg, rad)
-        qalg, _, _ = quotient(alg, rad)
+        qalg, _ = quotient(alg, rad)
         assert soluble_radical(qalg).is_zero()
         if qalg.dim:
             assert is_semisimple(qalg)
