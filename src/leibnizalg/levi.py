@@ -7,13 +7,16 @@ abelian, pull the complement back to a subalgebra P = S̄ + R·R, and split
 P, whose radical R·R has smaller derived length.  If R·R is zero, lift a
 basis u_i of L/R and solve one linear system for corrections a_i in R
 that make the u_i + a_i multiply as the quotient does, over all ordered
-pairs (i, j); the theorem says it is consistent.  Free variables are set
-to zero, so results are reproducible.
+pairs (i, j); the theorem says it is consistent.  Each coefficient of
+that system is read off the structure table at a pivot of R's RREF
+basis, which is exact because a vector of R is fixed by its entries at
+those pivots.
+Free variables are set to zero, so results are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -21,7 +24,6 @@ from .algebra import (
     NotASubalgebraError,
     NotLieError,
     is_lie,
-    product,
     quotient,
     restrict_to_subalgebra,
     subspace_product,
@@ -59,12 +61,7 @@ class LeviWitnesses:
                 and self.closed_under_product and self.complement_semisimple)
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "sum_is_full": self.sum_is_full,
-            "intersection_is_zero": self.intersection_is_zero,
-            "closed_under_product": self.closed_under_product,
-            "complement_semisimple": self.complement_semisimple,
-        }
+        return asdict(self)
 
 
 class LeviVerificationError(ValueError):
@@ -104,64 +101,65 @@ def verify_levi(alg: LeibnizAlgebra, s: Subspace) -> LeviWitnesses:
 def _abelian_complement(alg: LeibnizAlgebra, ideal: Subspace) -> Subspace:
     """Complementary subalgebra of an ideal I with I·I = 0.
 
-    Lifts the quotient basis to u_i and solves, over every ordered pair
-    (i, j), u_i·a_j + a_i·u_j − Σ_k c_ijk a_k = −(u_i·u_j − Σ_k c_ijk u_k)
-    for corrections a_i in I, c being the quotient's structure constants;
-    then the u_i + a_i multiply exactly as the quotient basis does.
-    Raises NoSolutionError when the system is inconsistent.
+    With the lifts u_i = b_{f_i}, the unit vectors at I's free
+    coordinates, and the quotient's structure constants c, solves
+    u_i·a_j + a_i·u_j − Σ_k c_ijk a_k = −(u_i·u_j − Σ_k c_ijk u_k)
+    over every ordered pair (i, j) for corrections a_i = Σ_m α_im w_m in
+    I, w_m being I's RREF rows; then the u_i + a_i multiply exactly as
+    the quotient basis does.  Both sides lie in I, where v = Σ_t v[p_t] w_t
+    over I's pivots p_t, and every u_k is zero at p_t.  So equation
+    (i, j, t) is read off the table at p_t: α_jm has coefficient
+    (b_{f_i}·w_m)[p_t], α_im has (w_m·b_{f_j})[p_t], and the right side
+    is −(b_{f_i}·b_{f_j})[p_t].  Raises NoSolutionError when the system
+    is inconsistent.
     """
-    qalg, lift_space = quotient(alg, ideal)
-    q, r = qalg.dim, ideal.dim
-    lifts = lift_space.rows()
-    basis = ideal.rows()
+    qalg, lifts = quotient(alg, ideal)
+    free, q, r = lifts.pivots, qalg.dim, ideal.dim
+    at = {p: t for t, p in enumerate(ideal.pivots)}
+    nonzero = alg.table.nonzero
 
-    def coords(v) -> tuple[Fraction, ...]:
-        c = ideal.coordinates(v)
-        assert c is not None  # I is an ideal and contains every defect
-        return c
+    def at_pivots(terms) -> dict[int, Fraction]:
+        # the sum of w * pairs over terms (w, pairs), as {t: entry at p_t}
+        acc: dict[int, Fraction] = {}
+        for w, pairs in terms:
+            for k, e in pairs:
+                if k in at:
+                    acc[at[k]] = acc.get(at[k], _ZERO) + w * e
+        return acc
 
-    def by_coordinate(images):
-        # images[m] in I-coordinates -> for each t, the nonzero (m, entry t)
-        return [[(m, x[t]) for m, x in enumerate(images) if x[t]] for t in range(r)]
+    # left[i] / right[i]: (t, m, entry at p_t of b_{f_i}·w_m / w_m·b_{f_i})
+    left = [[(t, m, x) for m, row in enumerate(ideal.sparse_rows)
+             for t, x in at_pivots((w, nonzero[f].get(c, ())) for c, w in row).items()]
+            for f in free]
+    right = [[(t, m, x) for m, row in enumerate(ideal.sparse_rows)
+              for t, x in at_pivots((w, nonzero[c].get(f, ())) for c, w in row).items()]
+             for f in free]
 
-    # left[i][t] / right[i][t]: coordinate t of u_i·w_m / w_m·u_i, per m
-    left = [by_coordinate([coords(product(alg, u, w)) for w in basis]) for u in lifts]
-    right = [by_coordinate([coords(product(alg, w, u)) for w in basis]) for u in lifts]
-
-    # unknowns: coordinate m of a_i, flattened as i*r + m
-    rows = []
-    rhs = []
-    for i in range(q):
-        for j in range(q):
-            pairs = qalg.table.nonzero[i].get(j, ())
-            target = list(product(alg, lifts[i], lifts[j]))
-            for k, c in pairs:
-                target = [x - c * e for x, e in zip(target, lifts[k])]
-            defect = coords(target)
-            for t in range(r):
-                entries: dict[int, Fraction] = {}
-                for m, x in left[i][t]:
-                    entries[j * r + m] = entries.get(j * r + m, _ZERO) + x
-                for m, x in right[j][t]:
-                    entries[i * r + m] = entries.get(i * r + m, _ZERO) + x
-                for k, c in pairs:
-                    entries[k * r + t] = entries.get(k * r + t, _ZERO) - c
-                row = [_ZERO] * (q * r)
-                for col, x in entries.items():
-                    row[col] = x
-                rows.append(tuple(row))
-                rhs.append(-defect[t])
+    # unknowns: α_im flattened as i*r + m
+    rows, rhs = [], []
+    for i, fi in enumerate(free):
+        for j, fj in enumerate(free):
+            eqs = [[_ZERO] * (q * r) for _ in range(r)]
+            for t, m, x in left[i]:
+                eqs[t][j * r + m] += x
+            for t, m, x in right[j]:
+                eqs[t][i * r + m] += x
+            for k, c in qalg.table.nonzero[i].get(j, ()):
+                for t in range(r):
+                    eqs[t][k * r + t] -= c
+            defect = at_pivots([(1, nonzero[fi].get(fj, ()))])
+            rows += map(tuple, eqs)
+            rhs += [-defect.get(t, _ZERO) for t in range(r)]
     solved = solve_affine(Matrix(len(rows), q * r, tuple(rows)), tuple(rhs))
     if solved is None:
         raise NoSolutionError("correction system is inconsistent")
     alpha, _ = solved
     out = []
-    for i, u in enumerate(lifts):
+    for i, u in enumerate(lifts.rows()):
         v = list(u)
-        for m, w in enumerate(basis):
-            a = alpha[i * r + m]
-            if a:
-                v = [x + a * e for x, e in zip(v, w)]
+        for a, row in zip(alpha[i * r:], ideal.sparse_rows):
+            for c, e in row:
+                v[c] += a * e
         out.append(v)
     return Subspace(alg.dim, out)
 
@@ -183,7 +181,7 @@ def _split(alg: LeibnizAlgebra, rad: Subspace) -> Subspace:
     s_bar = _split(qalg, Subspace(qalg.dim, [[x[f] for f in lifts.pivots] for x in residuals]))
     pre = subspace_sum(embed_rows(lifts, s_bar.rows()), rad_sq)
     sub = restrict_to_subalgebra(alg, pre)
-    inner = _split(sub, Subspace(pre.dim, [pre.coordinates(w) for w in rad_sq.rows()]))
+    inner = _split(sub, Subspace(pre.dim, [[w[p] for p in pre.pivots] for w in rad_sq.rows()]))
     return embed_rows(pre, inner.rows())
 
 

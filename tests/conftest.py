@@ -27,6 +27,7 @@ from leibnizalg import (
     solve_affine,
     split_extension_zero_right,
 )
+from leibnizalg.algebra import quotient
 from leibnizalg.constructions import _table_from_matrices
 from leibnizalg.exactlin import apply_to_subspace
 
@@ -300,13 +301,16 @@ def bundle_sl4():
     return sln_bundle(4)
 
 
-def change_basis(alg: LeibnizAlgebra, g: Matrix, g_inv: Matrix) -> LeibnizAlgebra:
+def change_basis(alg: LeibnizAlgebra, g: Matrix, g_inv: Matrix,
+                 validate: bool = True) -> LeibnizAlgebra:
     """The algebra on the basis f_a = sum_b g[b][a] e_b; a vector with old
-    coordinates x has new coordinates g_inv x."""
+    coordinates x has new coordinates g_inv x.  A change of basis keeps
+    the identity, so ``validate=False`` skips the recheck, which on a
+    dense table costs about dim^3 * dim^2 Fraction operations."""
     cols = [g.column(a) for a in range(alg.dim)]
     return LeibnizAlgebra(StructureTable(alg.dim, tuple(
         tuple(g_inv.apply(product(alg, x, y)) for y in cols) for x in cols
-    )))
+    )), validate=validate)
 
 
 @dataclass(frozen=True)
@@ -321,13 +325,19 @@ class KnownAlgebra:
     square: bool
 
 
+# +-p/q for p, q <= 3, 1 first so that hypothesis shrinks towards it
+DIAGONAL_SCALES = list(dict.fromkeys(
+    s * F(p, q) for p in (1, 2, 3) for q in (1, 2, 3) for s in (1, -1)))
+
+
 @st.composite
 def leibniz_algebras(draw, max_dim=9):
     """sl2 acting on 1-3 irreducibles V(m), m <= 2, with zero right action
     (or, if ``lie``, as a Lie semidirect sum), optionally a pair t, z with
-    t.t = z as the only product, then a small-integer change of basis with
-    integer inverse.  The change of basis is a permutation and a few
-    shears, so most of the table stays zero and an example costs
+    t.t = z as the only product, then a change of basis: a permutation, a
+    few integer shears and a diagonal with entries +-p/q, p, q <= 3.  The
+    diagonal makes the radical's RREF rows carry non-integer entries off
+    their pivots.  Most of the table stays zero and an example costs
     milliseconds.
 
     On the original basis the radical is everything after sl2, and the
@@ -359,8 +369,8 @@ def leibniz_algebras(draw, max_dim=9):
         grid[n - 2][n - 2][n - 1] = F(1)  # t.t = z
     alg = LeibnizAlgebra(StructureTable.from_rows(grid))
 
-    # g = a permutation times up to n shears b_i += c b_j, c in -2..2:
-    # det g = +-1, so g_inv is integral too
+    # g = a permutation times up to n shears b_i += c b_j, c in -2..2,
+    # times a diagonal b_i -> d_i b_i
     order = draw(st.permutations(range(n)))
     g = Matrix.from_rows([[int(j == order[i]) for j in range(n)] for i in range(n)])
     for _ in range(draw(st.integers(0, n))):
@@ -368,6 +378,8 @@ def leibniz_algebras(draw, max_dim=9):
         shear = [[int(r == c) for c in range(n)] for r in range(n)]
         shear[j][i] = draw(st.integers(-2, 2))
         g = g @ Matrix.from_rows(shear)
+    d = draw(st.lists(st.sampled_from(DIAGONAL_SCALES), min_size=n, max_size=n))
+    g = g @ Matrix.from_rows([[d[r] if r == c else 0 for c in range(n)] for r in range(n)])
     g_inv = matrix_inverse(g)
 
     def span(indices):
@@ -387,3 +399,46 @@ def leibniz_algebras(draw, max_dim=9):
         lie=lie,
         square=square,
     )
+
+
+def correction_system_oracle(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[Matrix, tuple]:
+    """The correction system of ``levi._abelian_complement``, built the
+    direct way: every coefficient is an I-coordinate of a product.
+
+    With lifts u_i of the quotient basis, quotient constants c_ijk and I's
+    RREF rows w_m, equation (i, j, t) is coordinate t of
+    u_i·a_j + a_i·u_j - sum_k c_ijk a_k = -(u_i·u_j - sum_k c_ijk u_k),
+    and the unknown (i, m), column i*r + m, is the coefficient of w_m in a_i.
+    """
+    qalg, lift_space = quotient(alg, ideal)
+    q, r = qalg.dim, ideal.dim
+    lifts = lift_space.rows()
+    basis = ideal.rows()
+
+    def coords(v):
+        c = ideal.coordinates(v)
+        assert c is not None, "a product left the ideal"
+        return c
+
+    # left[i][m] / right[i][m]: I-coordinates of u_i·w_m / w_m·u_i
+    left = [[coords(product(alg, u, w)) for w in basis] for u in lifts]
+    right = [[coords(product(alg, w, u)) for w in basis] for u in lifts]
+    rows = []
+    rhs = []
+    for i in range(q):
+        for j in range(q):
+            pairs = qalg.table.nonzero[i].get(j, ())
+            target = list(product(alg, lifts[i], lifts[j]))
+            for k, c in pairs:
+                target = [x - c * e for x, e in zip(target, lifts[k])]
+            defect = coords(target)
+            for t in range(r):
+                row = [F(0)] * (q * r)
+                for m in range(r):
+                    row[j * r + m] += left[i][m][t]
+                    row[i * r + m] += right[j][m][t]
+                for k, c in pairs:
+                    row[k * r + t] -= c
+                rows.append(tuple(row))
+                rhs.append(-defect[t])
+    return Matrix(len(rows), q * r, tuple(rows)), tuple(rhs)

@@ -17,6 +17,7 @@ from leibnizalg import (
     NotLieError,
     StructureTable,
     Subspace,
+    counterexample,
     derived_series,
     diagonal_complement,
     is_lie,
@@ -38,6 +39,7 @@ from leibnizalg.constructions import _table_from_matrices
 from conftest import (
     change_basis,
     conjugate_action,
+    correction_system_oracle,
     dense_product,
     direct_sum_actions,
     leibniz_algebras,
@@ -178,8 +180,12 @@ def test_indecomposable_module_has_no_complement(heisenberg):
     # the centre z = [x, y] is an abelian ideal, but no lift of the abelian
     # quotient closes up, so the correction system is inconsistent
     centre = Subspace(3, [[0, 0, 1]])
-    with pytest.raises(NoSolutionError):
-        levi._abelian_complement(heisenberg, centre)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_correction_systems(mp)
+        with pytest.raises(NoSolutionError):
+            levi._abelian_complement(heisenberg, centre)
+    [(_, _, _, system)] = calls
+    assert system == correction_system_oracle(heisenberg, centre)
 
 
 def test_bundle_complement_properties(bundle_sl2):
@@ -250,7 +256,7 @@ def sl2_plus_upper_triangular():
     return LeibnizAlgebra(_table_from_matrices(sl2_block + upper))
 
 
-def test_nested_derived_radical_recursion(monkeypatch):
+def test_nested_derived_radical_recursion():
     # R.R is nonzero in R = b(3) and again in the radical R.R of the
     # pulled-back subalgebra, so the R.R branch runs inside itself
     alg = sl2_plus_upper_triangular()
@@ -259,36 +265,94 @@ def test_nested_derived_radical_recursion(monkeypatch):
     g = random_invertible(random.Random(7), alg.dim)
     g_inv = matrix_inverse(g)
     moved = change_basis(alg, g, g_inv)
-
-    split = levi._split
-    depth = 0
-    branch_depths = []
-
-    def traced(a, r):
-        nonlocal depth
-        if r.is_zero() or r.is_full() or subspace_product(a, r, r).is_zero():
-            return split(a, r)
-        depth += 1
-        branch_depths.append(depth)
-        try:
-            return split(a, r)
-        finally:
-            depth -= 1
-
-    monkeypatch.setattr(levi, "_split", traced)
+    # one correction solve inside the branch at depth 1 and two inside
+    # the one at depth 2, each with the oracle's system
+    assert assert_systems_match_oracle(moved) == [1, 2, 2]
     dec = leibniz_levi(moved)
-    assert dec.witnesses.all_pass
     assert dec.semisimple_part.dim == 3
     assert dec.radical.dim == 6
-    assert branch_depths == [1, 2]
     # sl2 commutes with R, so its block is the only complement
     assert dec.semisimple_part == Subspace(alg.dim, [g_inv.column(k) for k in range(3)])
+
+
+# --- the correction system against its oracle ---------------------------------
+
+def record_correction_systems(mp: pytest.MonkeyPatch) -> list[list]:
+    """Patch ``levi`` so that each ``_abelian_complement`` call appends
+    [alg, ideal, depth, (matrix, rhs)].  depth counts the enclosing
+    ``_split`` calls that took the R·R branch, and (matrix, rhs) is the
+    system the call passed to ``solve_affine``."""
+    calls = []
+    depth = 0
+    split, complement, solve = levi._split, levi._abelian_complement, levi.solve_affine
+
+    def traced_split(alg, rad):
+        nonlocal depth
+        branch = not (rad.is_zero() or rad.is_full()
+                      or subspace_product(alg, rad, rad).is_zero())
+        depth += branch
+        try:
+            return split(alg, rad)
+        finally:
+            depth -= branch
+
+    def recorded_complement(alg, ideal):
+        calls.append([alg, ideal, depth, None])
+        return complement(alg, ideal)
+
+    def recorded_solve(a, b):
+        calls[-1][3] = (a, tuple(b))
+        return solve(a, b)
+
+    mp.setattr(levi, "_split", traced_split)
+    mp.setattr(levi, "_abelian_complement", recorded_complement)
+    mp.setattr(levi, "solve_affine", recorded_solve)
+    return calls
+
+
+def assert_systems_match_oracle(alg: LeibnizAlgebra) -> list[int]:
+    """Split alg and compare every correction system with the oracle's,
+    entry for entry; returns the R·R-branch depth of each solve."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_correction_systems(mp)
+        dec = leibniz_levi(alg)
+    assert dec.witnesses.all_pass
+    for a, ideal, _, system in calls:
+        assert system == correction_system_oracle(a, ideal)
+    return [depth for _, _, depth, _ in calls]
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "sl3", "sl4"])
+def test_correction_system_matches_oracle_on_bundles(name, bundle_sl4):
+    alg = bundle_sl4 if name == "sl4" else counterexample(name).L
+    # a random_invertible change of basis; a dense one of the dim-30 sl4
+    # bundle makes its split take about 28 s, 19 s of it in the solve of a
+    # dense 3375 x 225 system, so there it mixes only coordinates 0, 5,
+    # ..., 25, three in each block
+    mixed = range(0, alg.dim, 5 if name == "sl4" else 1)
+    block = random_invertible(random.Random(1), len(mixed))
+    at = {c: a for a, c in enumerate(mixed)}
+    g = Matrix.from_rows([
+        [block.entries[at[r]][at[c]] if r in at and c in at else int(r == c)
+         for c in range(alg.dim)] for r in range(alg.dim)])
+    for a in (alg, change_basis(alg, g, matrix_inverse(g), validate=False)):
+        assert assert_systems_match_oracle(a) == [0]
+
+
+def test_correction_system_matches_oracle_on_zoo(zoo):
+    depths = {name: assert_systems_match_oracle(alg) for name, alg in zoo}
+    # the Lie semidirect sum is the one whose radical multiplies the
+    # lifts from the right, so its w_m·b_{f_j} coefficients are nonzero
+    assert depths["semidirect_sl2_adjointish"] == [0]
+    # R.R = span(z): one solve modulo z, then one over z itself
+    assert depths["mixed_radical"] == [1, 1]
 
 
 @settings(max_examples=50, deadline=None)
 @given(leibniz_algebras())
 def test_generated_algebras_split(known):
     alg = known.alg
+    assert assert_systems_match_oracle(alg)
     dec = leibniz_levi(alg)
     assert verify_levi(alg, dec.semisimple_part).all_pass
     assert dec.semisimple_part.dim == 3
