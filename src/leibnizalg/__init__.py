@@ -1,45 +1,24 @@
 """Exact-arithmetic toolkit for finite-dimensional left Leibniz algebras
 over the rationals: squares ideal, soluble radical, semisimple
 complements of the radical, and certificates that such complements need
-not be conjugate."""
+not be conjugate.
 
-from .exactlin import (
-    Matrix,
-    NotNilpotentError,
-    Subspace,
-    Vector,
-    exp_nilpotent,
-    kernel_basis,
-    rref,
-    solve_affine,
-    subspace_sum,
-)
+The package exports what the README example, the acceptance suite and
+the benchmark use, and the types those names return, take or raise;
+everything else is imported from its own module."""
+
+from .exactlin import Matrix, Subspace, rref
 from .algebra import (
     LeibnizAlgebra,
     LeibnizIdentityError,
-    NotAnIdealError,
-    NotASubalgebraError,
     NotLieError,
     StructureTable,
     ViolationReport,
     check_left_leibniz,
-    is_ideal,
     is_lie,
-    left_multiplication,
     product,
-    quotient,
-    restrict_to_subalgebra,
-    subspace_product,
 )
-from .structure import (
-    DerivedSeries,
-    derived_series,
-    is_semisimple,
-    is_soluble,
-    killing_form,
-    leibniz_kernel,
-    soluble_radical,
-)
+from .structure import leibniz_kernel, soluble_radical
 from .levi import (
     LeviDecomposition,
     LeviVerificationError,
@@ -50,7 +29,6 @@ from .levi import (
     verify_levi,
 )
 from .constructions import (
-    CATALOG,
     CounterexampleBundle,
     ModuleAction,
     UnknownAlgebraError,
@@ -65,7 +43,6 @@ from .conjugacy import (
     InvarianceError,
     NonConjugacyCertificate,
     NotAComplementError,
-    exp_inner_automorphism,
     inner_derivation,
     invariance_check,
     is_derivation,
@@ -75,9 +52,7 @@ from .conjugacy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALOG",
     "CounterexampleBundle",
-    "DerivedSeries",
     "DistinctnessError",
     "InvarianceError",
     "LeibnizAlgebra",
@@ -90,45 +65,27 @@ __all__ = [
     "NonConjugacyCertificate",
     "NoSolutionError",
     "NotAComplementError",
-    "NotAnIdealError",
-    "NotASubalgebraError",
     "NotLieError",
-    "NotNilpotentError",
     "StructureTable",
     "Subspace",
     "UnknownAlgebraError",
-    "Vector",
     "ViolationReport",
     "adjoint_module",
     "check_left_leibniz",
     "counterexample",
-    "derived_series",
     "diagonal_complement",
-    "exp_inner_automorphism",
-    "exp_nilpotent",
     "inner_derivation",
     "invariance_check",
     "is_derivation",
-    "is_ideal",
     "is_lie",
-    "is_semisimple",
-    "is_soluble",
-    "kernel_basis",
-    "killing_form",
-    "left_multiplication",
     "leibniz_kernel",
     "leibniz_levi",
     "lie_levi",
     "non_conjugacy_certificate",
     "product",
-    "quotient",
-    "restrict_to_subalgebra",
     "rref",
     "simple_algebra",
     "soluble_radical",
-    "solve_affine",
     "split_extension_zero_right",
-    "subspace_product",
-    "subspace_sum",
     "verify_levi",
 ]

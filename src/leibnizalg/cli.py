@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 mathematical failure (identity violation, no
-certificate, no verified complement), 2 usage or parse error.  Reports
-are emitted as text or JSON with a fixed key order; apart from the
-trailing elapsed-time field they are byte-stable for identical inputs.
+certificate, no verified complement), 2 usage or parse error, or input
+too large for the memory available.  Reports are emitted as text or
+JSON with a fixed key order; apart from the trailing elapsed-time field
+they are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -318,26 +319,26 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, report)
     except (AlgebraFileError, constructions.UnknownAlgebraError, NotAComplementError) as exc:
         report.add_check("usable_input", False, witness=str(exc))
-        print(report.render(args.fmt))
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    except MemoryError:
+        # the report is rendered after this block, once the frames that
+        # held the failed computation are released
+        report.add_check("usable_input", False, witness="out of memory")
+        code = EXIT_USAGE
     except CertificateError as exc:
         report.add_check("certificate", False, witness=str(exc))
-        print(report.render(args.fmt))
-        return EXIT_MATH
+        code = EXIT_MATH
     except LeviVerificationError as exc:
         for name, passed in exc.witnesses.as_dict().items():
             report.add_check(name, passed)
-        print(report.render(args.fmt))
-        return EXIT_MATH
+        code = EXIT_MATH
     except NoSolutionError as exc:
         report.add_check("complement_solve", False, witness=str(exc))
-        print(report.render(args.fmt))
-        return EXIT_MATH
+        code = EXIT_MATH
     except LeibnizIdentityError as exc:
         report.add_check("leibniz_identity", False,
                          witness=_violation_payload(exc.report))
-        print(report.render(args.fmt))
-        return EXIT_MATH
+        code = EXIT_MATH
     print(report.render(args.fmt))
     return code
 

@@ -31,21 +31,6 @@ from .exactlin import (
 from .files import algebra_digest
 from .levi import LeviWitnesses, verify_levi
 
-__all__ = [
-    "CertificateError",
-    "DistinctnessError",
-    "InvarianceError",
-    "InvarianceReport",
-    "InvarianceRow",
-    "NonConjugacyCertificate",
-    "NotAComplementError",
-    "exp_inner_automorphism",
-    "inner_derivation",
-    "invariance_check",
-    "is_derivation",
-    "non_conjugacy_certificate",
-]
-
 
 class CertificateError(ValueError):
     """No certificate could be issued.  ``witnesses`` holds the

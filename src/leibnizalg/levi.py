@@ -164,8 +164,9 @@ def _abelian_complement(alg: LeibnizAlgebra, ideal: Subspace) -> Subspace:
     return Subspace(alg.dim, out)
 
 
-def _split(alg: LeibnizAlgebra, rad: Subspace) -> Subspace:
-    """Semisimple complement of ``rad``, the soluble radical of alg."""
+def _split(alg: LeibnizAlgebra) -> Subspace:
+    """Semisimple complement of the soluble radical R of alg."""
+    rad = soluble_radical(alg)
     if rad.is_zero():
         return Subspace.full(alg.dim)
     if rad.is_full():
@@ -173,15 +174,11 @@ def _split(alg: LeibnizAlgebra, rad: Subspace) -> Subspace:
     rad_sq = subspace_product(alg, rad, rad)
     if rad_sq.is_zero():
         return _abelian_complement(alg, rad)
-    # L/(R·R) has the abelian radical R/(R·R), the rows of R reduced
-    # modulo R·R and read at the free coordinates; its complement pulls
+    # the complement of L/(R·R), whose radical R/(R·R) is abelian, pulls
     # back to a subalgebra P whose radical is R·R
     qalg, lifts = quotient(alg, rad_sq)
-    residuals = [rad_sq._eliminate(w)[1] for w in rad.rows()]
-    s_bar = _split(qalg, Subspace(qalg.dim, [[x[f] for f in lifts.pivots] for x in residuals]))
-    pre = subspace_sum(embed_rows(lifts, s_bar.rows()), rad_sq)
-    sub = restrict_to_subalgebra(alg, pre)
-    inner = _split(sub, Subspace(pre.dim, [[w[p] for p in pre.pivots] for w in rad_sq.rows()]))
+    pre = subspace_sum(embed_rows(lifts, _split(qalg).rows()), rad_sq)
+    inner = _split(restrict_to_subalgebra(alg, pre))
     return embed_rows(pre, inner.rows())
 
 
@@ -189,7 +186,7 @@ def lie_levi(alg: LeibnizAlgebra) -> Subspace:
     """Semisimple complement of the radical in a Lie algebra."""
     if not is_lie(alg):
         raise NotLieError("Levi complement requires a Lie algebra")
-    return _split(alg, soluble_radical(alg))
+    return _split(alg)
 
 
 def leibniz_levi(alg: LeibnizAlgebra) -> LeviDecomposition:
@@ -197,7 +194,7 @@ def leibniz_levi(alg: LeibnizAlgebra) -> LeviDecomposition:
     rechecked by ``verify_levi``; raises LeviVerificationError if a
     witness fails."""
     rad = soluble_radical(alg)
-    s = _split(alg, rad)
+    s = _split(alg)
     witnesses = verify_levi(alg, s)
     if not witnesses.all_pass:
         raise LeviVerificationError(s, witnesses)

@@ -11,11 +11,14 @@ from fractions import Fraction
 
 from .exactlin import Vector
 
+# |numerator| and denominator bounds of every sampled scalar
+_NUM_BOUND = 9
+_DEN_BOUND = 4
 
-def rational(rng: random.Random, num_bound: int = 9, den_bound: int = 4) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+
+def rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-_NUM_BOUND, _NUM_BOUND), rng.randint(1, _DEN_BOUND))
 
 
-def rational_vector(rng: random.Random, dim: int,
-                    num_bound: int = 9, den_bound: int = 4) -> Vector:
-    return tuple(rational(rng, num_bound, den_bound) for _ in range(dim))
+def rational_vector(rng: random.Random, dim: int) -> Vector:
+    return tuple(rational(rng) for _ in range(dim))

@@ -88,10 +88,6 @@ def derived_series(alg: LeibnizAlgebra, u: Subspace) -> DerivedSeries:
     return DerivedSeries(tuple(terms))
 
 
-def is_soluble(alg: LeibnizAlgebra, u: Subspace) -> bool:
-    return derived_series(alg, u).reaches_zero
-
-
 def killing_form(alg: LeibnizAlgebra) -> Matrix:
     """Gram matrix gram[i][j] = trace(ad b_i o ad b_j); Lie algebras only."""
     if not is_lie(alg):

@@ -21,15 +21,14 @@ from leibnizalg import (
     Subspace,
     adjoint_module,
     counterexample,
-    exp_inner_automorphism,
     product,
     simple_algebra,
-    solve_affine,
     split_extension_zero_right,
 )
-from leibnizalg.algebra import quotient
+from leibnizalg.algebra import quotient, subspace_product
+from leibnizalg.conjugacy import exp_inner_automorphism
 from leibnizalg.constructions import _table_from_matrices
-from leibnizalg.exactlin import apply_to_subspace
+from leibnizalg.exactlin import apply_to_subspace, solve_affine
 
 F = Fraction
 
@@ -40,6 +39,14 @@ def table_from_map(dim, products):
 
 def algebra(dim, products, labels=None):
     return LeibnizAlgebra(table_from_map(dim, products), labels=labels)
+
+
+def is_ideal(alg, u) -> bool:
+    """Whether u is a two-sided ideal: the oracle for the precondition
+    that ``quotient`` trusts its callers with."""
+    full = Subspace.full(alg.dim)
+    return (u.contains_subspace(subspace_product(alg, full, u))
+            and u.contains_subspace(subspace_product(alg, u, full)))
 
 
 def dense_product(alg, x, y):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from leibnizalg import counterexample, levi, structure
+from leibnizalg import cli, counterexample, levi, structure
 from leibnizalg.cli import main
 from leibnizalg.files import (
     MAX_DIM,
@@ -289,7 +289,7 @@ def test_levi_gl2_style(capsys, tmp_path, gl2_style):
 
 def test_levi_failed_witness_is_reported(capsys, monkeypatch, bundle_files):
     # a splitter that returns the radical instead of a complement
-    monkeypatch.setattr(levi, "_split", lambda alg, rad: rad)
+    monkeypatch.setattr(levi, "_split", structure.soluble_radical)
     code, out = run(capsys, "--format", "json", "levi", str(bundle_files["algebra"]))
     assert code == 1
     report = json.loads(out)
@@ -308,6 +308,21 @@ def test_levi_inconsistent_solve_is_reported(capsys, monkeypatch, bundle_files):
     report = json.loads(out)
     assert report["checks"][-1] == {"name": "complement_solve", "passed": False,
                                     "witness": "correction system is inconsistent"}
+
+
+def test_levi_out_of_memory_is_reported(capsys, monkeypatch, bundle_files):
+    # a splitter that runs out of memory, as the dim-126 sl8 bundle's can
+    def exhausted(alg):
+        raise MemoryError
+    monkeypatch.setattr(cli, "leibniz_levi", exhausted)
+    code = main(["--format", "json", "levi", str(bundle_files["algebra"])])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["checks"][-1] == {"name": "usable_input", "passed": False,
+                                    "witness": "out of memory"}
+    assert report["results"] == {}
+    assert "Traceback" not in captured.err
 
 
 # --- example ------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from leibnizalg import (
     InvarianceError,
     Matrix,
     NotAComplementError,
-    NotNilpotentError,
     Subspace,
-    exp_inner_automorphism,
     inner_derivation,
     invariance_check,
     is_derivation,
@@ -24,7 +22,8 @@ from leibnizalg import (
     verify_levi,
 )
 from leibnizalg import conjugacy
-from leibnizalg.exactlin import apply_to_subspace
+from leibnizalg.conjugacy import exp_inner_automorphism
+from leibnizalg.exactlin import NotNilpotentError, apply_to_subspace
 from leibnizalg.files import algebra_digest
 from leibnizalg.sampling import rational_vector
 

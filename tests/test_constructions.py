@@ -17,19 +17,18 @@ from leibnizalg import (
     counterexample,
     diagonal_complement,
     is_lie,
-    is_semisimple,
     leibniz_kernel,
     leibniz_levi,
     product,
     simple_algebra,
-    solve_affine,
     soluble_radical,
     split_extension_zero_right,
-    subspace_product,
-    subspace_sum,
     verify_levi,
 )
+from leibnizalg.algebra import subspace_product
 from leibnizalg.constructions import _table_from_matrices
+from leibnizalg.exactlin import solve_affine, subspace_sum
+from leibnizalg.structure import is_semisimple
 
 from conftest import module_law_report, random_invertible, sln_matrices, trivial_action
 

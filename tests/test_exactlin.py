@@ -7,17 +7,15 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from leibnizalg import (
-    Matrix,
+from leibnizalg import Matrix, Subspace, rref
+from leibnizalg.exactlin import (
     NotNilpotentError,
-    Subspace,
+    as_vector,
     exp_nilpotent,
     kernel_basis,
-    rref,
     solve_affine,
     subspace_sum,
 )
-from leibnizalg.exactlin import as_vector
 
 F = Fraction
 

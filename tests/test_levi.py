@@ -12,35 +12,36 @@ from leibnizalg import (
     LeibnizAlgebra,
     ModuleAction,
     NoSolutionError,
-    NotAnIdealError,
-    NotASubalgebraError,
     NotLieError,
     StructureTable,
     Subspace,
     counterexample,
-    derived_series,
     diagonal_complement,
     is_lie,
-    left_multiplication,
     leibniz_kernel,
     leibniz_levi,
     lie_levi,
-    restrict_to_subalgebra,
     soluble_radical,
-    subspace_product,
-    subspace_sum,
     verify_levi,
 )
-from leibnizalg import levi
-from leibnizalg.exactlin import Matrix
-
+from leibnizalg import levi, structure
+from leibnizalg.algebra import (
+    NotASubalgebraError,
+    left_multiplication,
+    quotient,
+    restrict_to_subalgebra,
+    subspace_product,
+)
 from leibnizalg.constructions import _table_from_matrices
+from leibnizalg.exactlin import Matrix, subspace_sum
+from leibnizalg.structure import derived_series
 
 from conftest import (
     change_basis,
     conjugate_action,
     correction_system_oracle,
     dense_product,
+    is_ideal,
     direct_sum_actions,
     leibniz_algebras,
     lie_semidirect,
@@ -161,19 +162,14 @@ def test_module_law_on_bundle(bundle_sl2):
 
 def test_zero_subspace_complement_is_everything(sl2):
     assert lie_levi(sl2) == Subspace.full(3)
-    assert levi._split(sl2, Subspace.zero(3)) == Subspace.full(3)
+    assert levi._split(sl2) == Subspace.full(3)
 
 
 def test_full_subspace_complement_is_zero(bundle_sl2):
     # the module block is an abelian algebra on its own: all radical
     block = restrict_to_subalgebra(bundle_sl2.L, bundle_sl2.K)
-    assert levi._split(block, Subspace.full(3)) == Subspace.zero(3)
+    assert levi._split(block) == Subspace.zero(3)
     assert leibniz_levi(block).semisimple_part == Subspace.zero(3)
-
-
-def test_non_invariant_subspace_rejected(sl2):
-    with pytest.raises(NotAnIdealError):
-        levi._abelian_complement(sl2, Subspace(3, [[1, 0, 0]]))  # [f, e] = -h escapes
 
 
 def test_indecomposable_module_has_no_complement(heisenberg):
@@ -286,13 +282,14 @@ def record_correction_systems(mp: pytest.MonkeyPatch) -> list[list]:
     depth = 0
     split, complement, solve = levi._split, levi._abelian_complement, levi.solve_affine
 
-    def traced_split(alg, rad):
+    def traced_split(alg):
         nonlocal depth
+        rad = soluble_radical(alg)
         branch = not (rad.is_zero() or rad.is_full()
                       or subspace_product(alg, rad, rad).is_zero())
         depth += branch
         try:
-            return split(alg, rad)
+            return split(alg)
         finally:
             depth -= branch
 
@@ -322,20 +319,24 @@ def assert_systems_match_oracle(alg: LeibnizAlgebra) -> list[int]:
     return [depth for _, _, depth, _ in calls]
 
 
-@pytest.mark.parametrize("name", ["sl2", "so3", "sl3", "sl4"])
-def test_correction_system_matches_oracle_on_bundles(name, bundle_sl4):
+def bundle_and_moved(name: str, bundle_sl4: LeibnizAlgebra) -> tuple[LeibnizAlgebra, ...]:
+    """The named bundle, plain and under a seed-1 random_invertible change
+    of basis.  A dense one of the dim-30 sl4 bundle makes its split take
+    about 28 s, 19 s of it in the solve of a dense 3375 x 225 system, so
+    there it mixes only coordinates 0, 5, ..., 25, three in each block."""
     alg = bundle_sl4 if name == "sl4" else counterexample(name).L
-    # a random_invertible change of basis; a dense one of the dim-30 sl4
-    # bundle makes its split take about 28 s, 19 s of it in the solve of a
-    # dense 3375 x 225 system, so there it mixes only coordinates 0, 5,
-    # ..., 25, three in each block
     mixed = range(0, alg.dim, 5 if name == "sl4" else 1)
     block = random_invertible(random.Random(1), len(mixed))
     at = {c: a for a, c in enumerate(mixed)}
     g = Matrix.from_rows([
         [block.entries[at[r]][at[c]] if r in at and c in at else int(r == c)
          for c in range(alg.dim)] for r in range(alg.dim)])
-    for a in (alg, change_basis(alg, g, matrix_inverse(g), validate=False)):
+    return alg, change_basis(alg, g, matrix_inverse(g), validate=False)
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "sl3", "sl4"])
+def test_correction_system_matches_oracle_on_bundles(name, bundle_sl4):
+    for a in bundle_and_moved(name, bundle_sl4):
         assert assert_systems_match_oracle(a) == [0]
 
 
@@ -346,6 +347,61 @@ def test_correction_system_matches_oracle_on_zoo(zoo):
     assert depths["semidirect_sl2_adjointish"] == [0]
     # R.R = span(z): one solve modulo z, then one over z itself
     assert depths["mixed_radical"] == [1, 1]
+
+
+# --- the ideals that quotients are trusted with --------------------------------
+
+def ideals_passed_to_quotient(alg: LeibnizAlgebra) -> list[tuple[LeibnizAlgebra, Subspace]]:
+    """Every (algebra, ideal) that ``quotient`` receives while the
+    radical and the Levi decomposition of a fresh copy of alg are
+    computed, so that no memoised radical hides a call."""
+    calls = []
+
+    def recorded(a, ideal):
+        calls.append((a, ideal))
+        return quotient(a, ideal)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "quotient", recorded)
+        mp.setattr(levi, "quotient", recorded)
+        copy = LeibnizAlgebra(StructureTable(alg.dim, alg.table.c), alg.labels, validate=False)
+        soluble_radical(copy)
+        assert leibniz_levi(copy).witnesses.all_pass
+    return calls
+
+
+def assert_quotients_receive_ideals(alg: LeibnizAlgebra) -> int:
+    calls = ideals_passed_to_quotient(alg)
+    assert [(a.dim, ideal.dim) for a, ideal in calls if not is_ideal(a, ideal)] == []
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "sl3", "sl4"])
+def test_quotients_receive_ideals_on_bundles(name, bundle_sl4):
+    for alg in bundle_and_moved(name, bundle_sl4):
+        # the squares ideal, then the radical for the correction solve
+        assert assert_quotients_receive_ideals(alg) == 2
+
+
+def test_quotients_receive_ideals_on_zoo(zoo):
+    assert sum(assert_quotients_receive_ideals(alg) for _, alg in zoo) > len(zoo)
+
+
+def test_quotients_receive_ideals_in_nested_recursion():
+    alg = sl2_plus_upper_triangular()
+    g = random_invertible(random.Random(7), alg.dim)
+    for a in (alg, change_basis(alg, g, matrix_inverse(g))):
+        # (algebra dim, ideal dim): each algebra is Lie, so its squares
+        # ideal is 0; then R·R of L, the radical of L/R·R, R·R of P, ...
+        assert [(b.dim, ideal.dim) for b, ideal in ideals_passed_to_quotient(a)] == [
+            (9, 0), (9, 3), (6, 0), (6, 3), (6, 0), (6, 1), (5, 0), (5, 2), (4, 0), (4, 1)]
+        assert assert_quotients_receive_ideals(a) == 10
+
+
+@settings(max_examples=50, deadline=None)
+@given(leibniz_algebras())
+def test_quotients_receive_ideals_on_generated_algebras(known):
+    assert assert_quotients_receive_ideals(known.alg) >= 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -394,7 +450,7 @@ def test_sl5_bundle_builds_and_splits_within_budget():
 
 
 def test_failed_witness_raises_with_the_witnesses(monkeypatch, bundle_sl2):
-    monkeypatch.setattr(levi, "_split", lambda alg, rad: Subspace.zero(alg.dim))
+    monkeypatch.setattr(levi, "_split", lambda alg: Subspace.zero(alg.dim))
     with pytest.raises(levi.LeviVerificationError) as info:
         leibniz_levi(bundle_sl2.L)
     assert info.value.complement == Subspace.zero(6)

@@ -6,23 +6,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from leibnizalg import (
-    NotASubalgebraError,
-    NotLieError,
-    Subspace,
-    derived_series,
-    is_ideal,
-    is_semisimple,
-    is_soluble,
-    killing_form,
-    leibniz_kernel,
-    product,
-    quotient,
-    soluble_radical,
-    subspace_product,
-)
+from leibnizalg import NotLieError, Subspace, leibniz_kernel, product, soluble_radical
+from leibnizalg.algebra import NotASubalgebraError, quotient, subspace_product
 from leibnizalg.exactlin import Matrix, rref
 from leibnizalg.sampling import rational_vector
+from leibnizalg.structure import derived_series, is_semisimple, killing_form
+
+from conftest import is_ideal
 
 F = Fraction
 
@@ -99,9 +89,9 @@ def test_series_requires_subalgebra(sl2):
 
 
 def test_is_soluble(abelian2, sl2, bundle_sl2):
-    assert is_soluble(abelian2, Subspace.full(2))
-    assert not is_soluble(sl2, Subspace.full(3))
-    assert is_soluble(bundle_sl2.L, bundle_sl2.K)
+    assert derived_series(abelian2, Subspace.full(2)).reaches_zero
+    assert not derived_series(sl2, Subspace.full(3)).reaches_zero
+    assert derived_series(bundle_sl2.L, bundle_sl2.K).reaches_zero
 
 
 # --- Killing form ---------------------------------------------------------
@@ -174,7 +164,7 @@ def test_radical_is_a_soluble_ideal_with_semisimple_quotient(zoo):
     for _, alg in zoo:
         rad = soluble_radical(alg)
         assert is_ideal(alg, rad)
-        assert is_soluble(alg, rad)
+        assert derived_series(alg, rad).reaches_zero
         qalg, _ = quotient(alg, rad)
         assert soluble_radical(qalg).is_zero()
         if qalg.dim:
