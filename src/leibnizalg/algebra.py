@@ -71,9 +71,6 @@ class ViolationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 # The nonzero (k, c) pairs of one basis product, in increasing k.
 Pairs = tuple[tuple[int, Fraction], ...]

@@ -139,7 +139,7 @@ def cmd_analyze(args, report: _Report) -> int:
     report.set_result("lie", is_lie(alg))
     report.set_result("kernel_dim", kern.dim)
     report.set_result("kernel_rows", serialize_subspace(kern)["rows"])
-    report.set_result("derived_series_dims", list(series.dims()))
+    report.set_result("derived_series_dims", [t.dim for t in series])
     report.set_result("radical_dim", rad.dim)
     report.set_result("radical_rows", serialize_subspace(rad)["rows"])
     report.set_result("semisimple", is_semisimple(alg))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (
     LeibnizAlgebra,
@@ -25,8 +26,6 @@ from .structure import leibniz_kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-CATALOG = ("sl2", "sl3", "so3")
 
 
 class UnknownAlgebraError(ValueError):
@@ -133,29 +132,45 @@ def _so3() -> LeibnizAlgebra:
     return LeibnizAlgebra(table, labels=("x", "y", "z"))
 
 
-def _sl3() -> LeibnizAlgebra:
-    def unit(i: int, j: int) -> Matrix:
-        return Matrix(3, 3, tuple(
-            tuple(_ONE if (r, c) == (i, j) else _ZERO for c in range(3))
-            for r in range(3)
+def _sln_generators(n: int) -> dict[str, Matrix]:
+    """The n x n matrices spanning sl(n), by label: e_ij for i < j, then
+    the e_ji in the same order, then h_m = e_mm - e_{m+1,m+1}."""
+    def matrix(cells: dict[tuple[int, int], Fraction]) -> Matrix:
+        return Matrix(n, n, tuple(
+            tuple(cells.get((r, c), _ZERO) for c in range(n)) for r in range(n)
         ))
 
-    mats = [unit(0, 1), unit(0, 2), unit(1, 2),
-            unit(1, 0), unit(2, 0), unit(2, 1),
-            unit(0, 0) - unit(1, 1), unit(1, 1) - unit(2, 2)]
-    labels = ["e12", "e13", "e23", "e21", "e31", "e32", "h1", "h2"]
-    return LeibnizAlgebra(_table_from_matrices(mats), labels=labels)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    gens = {f"e{i + 1}{j + 1}": matrix({(i, j): _ONE}) for i, j in upper}
+    gens.update((f"e{j + 1}{i + 1}", matrix({(j, i): _ONE})) for i, j in upper)
+    gens.update((f"h{m + 1}", matrix({(m, m): _ONE, (m + 1, m + 1): -_ONE}))
+                for m in range(n - 1))
+    return gens
+
+
+def _sln(n: int) -> LeibnizAlgebra:
+    gens = _sln_generators(n)
+    return LeibnizAlgebra(_table_from_matrices(list(gens.values())), labels=tuple(gens))
+
+
+# The catalog stops at sl5, whose bundle has dim 48: the sl6 bundle's
+# ``levi`` needs 3.5 s and 432 MB, and the sl8 bundle's runs out of
+# memory (README "Cost").
+_BUILDERS = {
+    "sl2": _sl2,
+    "sl3": partial(_sln, 3),
+    "sl4": partial(_sln, 4),
+    "sl5": partial(_sln, 5),
+    "so3": _so3,
+}
+CATALOG = tuple(_BUILDERS)
 
 
 def simple_algebra(name: str) -> LeibnizAlgebra:
-    """One of the catalog simple Lie algebras: sl2, sl3 or so3."""
-    if name == "sl2":
-        return _sl2()
-    if name == "sl3":
-        return _sl3()
-    if name == "so3":
-        return _so3()
-    raise UnknownAlgebraError(f"unknown algebra {name!r}; catalog: {', '.join(CATALOG)}")
+    """The catalog simple Lie algebra of that name (see ``CATALOG``)."""
+    if name not in _BUILDERS:
+        raise UnknownAlgebraError(f"unknown algebra {name!r}; catalog: {', '.join(CATALOG)}")
+    return _BUILDERS[name]()
 
 
 def adjoint_module(alg: LeibnizAlgebra) -> ModuleAction:

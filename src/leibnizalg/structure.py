@@ -3,7 +3,6 @@ soluble radical, semisimplicity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterator
@@ -20,20 +19,6 @@ from .algebra import (
 from .exactlin import Matrix, Subspace, embed_rows, kernel_basis, rref, subspace_sum
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class DerivedSeries:
-    """terms[0] = U, terms[i+1] = terms[i].terms[i], truncated at stabilization."""
-
-    terms: tuple[Subspace, ...]
-
-    @property
-    def reaches_zero(self) -> bool:
-        return self.terms[-1].is_zero()
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(t.dim for t in self.terms)
 
 
 def _per_table(
@@ -73,9 +58,10 @@ def leibniz_kernel(alg: LeibnizAlgebra) -> Subspace:
     return _scaled_span(alg.table, sums())
 
 
-def derived_series(alg: LeibnizAlgebra, u: Subspace) -> DerivedSeries:
-    """Successive self-products of a subalgebra until they stabilize;
-    the first, u·u, is also the subalgebra check."""
+def derived_series(alg: LeibnizAlgebra, u: Subspace) -> tuple[Subspace, ...]:
+    """The terms u, u·u, (u·u)·(u·u), ... of a subalgebra, up to the
+    first that is zero or equals the one before; the first product, u·u,
+    is also the subalgebra check."""
     nxt = subspace_product(alg, u, u)
     if not u.contains_subspace(nxt):
         raise NotASubalgebraError("derived series of a non-subalgebra")
@@ -85,7 +71,7 @@ def derived_series(alg: LeibnizAlgebra, u: Subspace) -> DerivedSeries:
         if nxt == terms[-2]:
             break
         nxt = subspace_product(alg, nxt, nxt)
-    return DerivedSeries(tuple(terms))
+    return tuple(terms)
 
 
 def killing_form(alg: LeibnizAlgebra) -> Matrix:

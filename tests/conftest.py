@@ -19,7 +19,6 @@ from leibnizalg import (
     ModuleAction,
     StructureTable,
     Subspace,
-    adjoint_module,
     counterexample,
     product,
     simple_algebra,
@@ -27,7 +26,6 @@ from leibnizalg import (
 )
 from leibnizalg.algebra import quotient, subspace_product
 from leibnizalg.conjugacy import exp_inner_automorphism
-from leibnizalg.constructions import _table_from_matrices
 from leibnizalg.exactlin import apply_to_subspace, solve_affine
 
 F = Fraction
@@ -282,30 +280,10 @@ def zoo(sl2, so3, square_algebra, abelian2, nonabelian2, heisenberg, gl2_style,
     ]
 
 
-def unit_matrix(n: int, i: int, j: int) -> Matrix:
-    """The n x n matrix e_ij."""
-    return Matrix(n, n, tuple(
-        tuple(F(int((r, c) == (i, j))) for c in range(n)) for r in range(n)
-    ))
-
-
-def sln_matrices(n: int) -> list[Matrix]:
-    """sl(n) on the basis e_ij (i != j) then h_i = e_ii - e_{i+1,i+1}."""
-    mats = [unit_matrix(n, i, j) for i in range(n) for j in range(n) if i != j]
-    return mats + [unit_matrix(n, i, i) - unit_matrix(n, i + 1, i + 1) for i in range(n - 1)]
-
-
-def sln_bundle(n: int) -> LeibnizAlgebra:
-    """The split extension of sl(n) by its adjoint module, zero right
-    action: the sl3 bundle's construction for any rank."""
-    sln = LeibnizAlgebra(_table_from_matrices(sln_matrices(n)))
-    return split_extension_zero_right(sln, adjoint_module(sln))
-
-
 @pytest.fixture(scope="session")
 def bundle_sl4():
     """The dim-30 sl4 bundle."""
-    return sln_bundle(4)
+    return counterexample("sl4").L
 
 
 def change_basis(alg: LeibnizAlgebra, g: Matrix, g_inv: Matrix,

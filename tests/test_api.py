@@ -1,19 +1,25 @@
 """The public API: every exported name resolves, the export list is what
 the README example, the acceptance suite and the benchmark import plus
 the types those names return, take or raise, and the README's library
-example runs as written."""
+example runs as written.  The names the benchmark imports from library
+modules resolve too, and its sl(n) builder agrees with the catalog."""
 
 import ast
 import contextlib
+import importlib
 import importlib.util
 import io
 import re
 from pathlib import Path
 
+import pytest
+
 import leibnizalg
+from leibnizalg import simple_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+BENCH = ROOT / "benchmark"
 
 # The types that the imported names return, take or raise.
 TYPES = {
@@ -45,7 +51,7 @@ def test_every_exported_name_resolves_once():
 
 def test_exports_are_what_the_example_the_acceptance_suite_and_the_benchmark_import():
     sources = [readme_example(), (ROOT / "tests" / "test_acceptance.py").read_text()]
-    sources += [path.read_text() for path in sorted((ROOT / "benchmark").rglob("*.py"))]
+    sources += [path.read_text() for path in sorted(BENCH.rglob("*.py"))]
     imported = set().union(*map(imported_names, sources))
     assert set(leibnizalg.__all__) == imported | TYPES
 
@@ -55,3 +61,41 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(readme_example(), str(README), "exec"), {})
     assert out.getvalue().count("\n") == 2  # the distinctness vector, the witnesses
+
+
+def benchmark_module_imports() -> set[tuple[str, str]]:
+    """(module, name) for each ``from leibnizalg.<module> import name``
+    in the benchmark's sources."""
+    return {(node.module, alias.name)
+            for path in sorted(BENCH.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("leibnizalg.")
+            for alias in node.names}
+
+
+def test_benchmark_imports_from_library_modules_resolve():
+    """Names below the package, private ones such as
+    ``constructions._table_from_matrices`` included: moving one would
+    stop every benchmark workload at import."""
+    imports = benchmark_module_imports()
+    assert imports
+    assert [(module, name) for module, name in sorted(imports)
+            if not hasattr(importlib.import_module(module), name)] == []
+
+
+def products_by_label(alg) -> dict:
+    return {(alg.labels[i], alg.labels[j]): {alg.labels[k]: c for k, c in pairs}
+            for i, products in enumerate(alg.table.nonzero)
+            for j, pairs in products.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_benchmark_sln_is_the_catalog_algebra_relabelled(monkeypatch, n):
+    """The benchmark builds sl(n) from its own generator list, in another
+    basis order; matched by label, the two tables agree."""
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling tracing
+    bench = importlib.import_module("workloads").sln(n)
+    catalog = simple_algebra(f"sl{n}")
+    assert sorted(bench.labels) == sorted(catalog.labels)
+    assert products_by_label(bench) == products_by_label(catalog)

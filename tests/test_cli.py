@@ -385,10 +385,28 @@ def test_example_lambda_of_another_shape_is_rejected(capsys, tmp_path, value):
     assert not out_path.exists()
 
 
+def test_example_sl4(capsys, tmp_path):
+    out_path = tmp_path / "sl4.json"
+    code, out = run(capsys, "--format", "json", "example", "--simple", "sl4",
+                    "--output", str(out_path))
+    assert code == 0
+    results = json.loads(out)["results"]
+    bundle = counterexample("sl4")
+    assert results["dim"] == 30
+    assert load_algebra(out_path) == bundle.L
+    for name in ("S", "K", "S1"):
+        sub = getattr(bundle, name)
+        assert results[name] == {"dim": 15, "rows": serialize_subspace(sub)["rows"]}
+
+
 def test_example_unknown_name(capsys, tmp_path):
-    code, _ = run(capsys, "example", "--simple", "e8",
-                  "--output", str(tmp_path / "x.json"))
+    code, out = run(capsys, "--format", "json", "example", "--simple", "e8",
+                    "--output", str(tmp_path / "x.json"))
     assert code == 2
+    assert json.loads(out)["checks"] == [{
+        "name": "usable_input", "passed": False,
+        "witness": "unknown algebra 'e8'; catalog: sl2, sl3, sl4, sl5, so3",
+    }]
 
 
 # --- conjugacy -----------------------------------------------------------------------

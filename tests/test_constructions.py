@@ -26,11 +26,11 @@ from leibnizalg import (
     verify_levi,
 )
 from leibnizalg.algebra import subspace_product
-from leibnizalg.constructions import _table_from_matrices
+from leibnizalg.constructions import _sln_generators, _table_from_matrices
 from leibnizalg.exactlin import solve_affine, subspace_sum
 from leibnizalg.structure import is_semisimple
 
-from conftest import module_law_report, random_invertible, sln_matrices, trivial_action
+from conftest import module_law_report, random_invertible, trivial_action
 
 F = Fraction
 
@@ -77,12 +77,24 @@ def test_so3_entry(so3):
 
 def test_sl3_entry(sl3):
     assert sl3.dim == 8
+    assert sl3.labels == ("e12", "e13", "e23", "e21", "e31", "e32", "h1", "h2")
     assert is_lie(sl3)
     assert is_semisimple(sl3)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_sln_entry(n):
+    sln = simple_algebra(f"sl{n}")
+    gens = _sln_generators(n)
+    assert sln.dim == n * n - 1 == len(gens)
+    assert sln.labels == tuple(gens)
+    assert is_semisimple(sln)
+    assert sln.table == oracle_table_from_matrices(list(gens.values()))
+
+
 def test_unknown_name(sl2):
-    with pytest.raises(UnknownAlgebraError):
+    with pytest.raises(UnknownAlgebraError,
+                       match=r"^unknown algebra 'e8'; catalog: sl2, sl3, sl4, sl5, so3$"):
         simple_algebra("e8")
 
 
@@ -128,7 +140,7 @@ def recombined_sl3_matrices(seed):
     rng = random.Random(seed)
     g = random_invertible(rng, 8)
     scales = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)]
-    mats = sln_matrices(3)
+    mats = list(_sln_generators(3).values())
     out = []
     for t in range(8):
         m = Matrix.zeros(3, 3)
@@ -140,7 +152,7 @@ def recombined_sl3_matrices(seed):
 
 
 @pytest.mark.parametrize("mats", [
-    SL2_MATRICES, SO3_MATRICES, sln_matrices(3), sln_matrices(4), sln_matrices(5),
+    SL2_MATRICES, SO3_MATRICES, *(list(_sln_generators(n).values()) for n in (3, 4, 5)),
     recombined_sl3_matrices(0), recombined_sl3_matrices(1),
 ], ids=["sl2", "so3", "sl3", "sl4", "sl5", "sl3-recombined-0", "sl3-recombined-1"])
 def test_matrix_algebra_tables_match_the_per_bracket_oracle(mats):

@@ -49,10 +49,8 @@ from conftest import (
     module_law_report,
     random_invertible,
     sl2_irrep,
-    sln_bundle,
     sympy_rank,
     trivial_action,
-    unit_matrix,
 )
 
 F = Fraction
@@ -246,9 +244,11 @@ def sl2_plus_upper_triangular():
     """sl2 ⊕ b(3) as 5 x 5 block matrices: sl2 (e, h, f) in the top-left
     2 x 2 block, the upper-triangular 3 x 3 matrices in the bottom-right
     one.  The radical b(3) has derived dims 6, 3, 1, 0."""
-    sl2_block = [unit_matrix(5, 0, 1), unit_matrix(5, 0, 0) - unit_matrix(5, 1, 1),
-                 unit_matrix(5, 1, 0)]
-    upper = [unit_matrix(5, i, j) for i in range(2, 5) for j in range(i, 5)]
+    def matrix(cells):
+        return Matrix.from_rows([[cells.get((r, c), 0) for c in range(5)] for r in range(5)])
+
+    sl2_block = [matrix({(0, 1): 1}), matrix({(0, 0): 1, (1, 1): -1}), matrix({(1, 0): 1})]
+    upper = [matrix({(i, j): 1}) for i in range(2, 5) for j in range(i, 5)]
     return LeibnizAlgebra(_table_from_matrices(sl2_block + upper))
 
 
@@ -257,7 +257,7 @@ def test_nested_derived_radical_recursion():
     # pulled-back subalgebra, so the R.R branch runs inside itself
     alg = sl2_plus_upper_triangular()
     rad = soluble_radical(alg)
-    assert [t.dim for t in derived_series(alg, rad).terms] == [6, 3, 1, 0]
+    assert [t.dim for t in derived_series(alg, rad)] == [6, 3, 1, 0]
     g = random_invertible(random.Random(7), alg.dim)
     g_inv = matrix_inverse(g)
     moved = change_basis(alg, g, g_inv)
@@ -433,10 +433,10 @@ def test_sl4_bundle_splits_within_budget(bundle_sl4):
 
 
 def test_sl5_bundle_builds_and_splits_within_budget():
-    """The dim-48 rung: sl5 from its 24 generator matrices, its bundle,
-    and the split, on one budget."""
+    """The dim-48 rung: the catalog's sl5, its bundle, and the split, on
+    one budget."""
     start = time.monotonic()
-    bundle = sln_bundle(5)
+    bundle = counterexample("sl5").L
     dec = leibniz_levi(bundle)
     elapsed = time.monotonic() - start
     assert bundle.dim == 48

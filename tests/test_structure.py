@@ -67,19 +67,19 @@ def test_kernel_inside_radical(zoo):
 
 def test_series_of_abelian_subspace(abelian2):
     series = derived_series(abelian2, Subspace.full(2))
-    assert series.dims() == (2, 0)
+    assert [t.dim for t in series] == [2, 0]
 
 
 def test_series_of_perfect_algebra(sl2):
     series = derived_series(sl2, Subspace.full(3))
-    assert [t.dim for t in series.terms] == [3, 3]
-    assert not series.reaches_zero
+    assert [t.dim for t in series] == [3, 3]
+    assert not series[-1].is_zero()
 
 
 def test_series_of_square_algebra(square_algebra):
     series = derived_series(square_algebra, Subspace.full(2))
-    assert series.dims() == (2, 1, 0)
-    assert series.terms[1] == Subspace(2, [[0, 1]])
+    assert [t.dim for t in series] == [2, 1, 0]
+    assert series[1] == Subspace(2, [[0, 1]])
 
 
 def test_series_requires_subalgebra(sl2):
@@ -89,9 +89,9 @@ def test_series_requires_subalgebra(sl2):
 
 
 def test_is_soluble(abelian2, sl2, bundle_sl2):
-    assert derived_series(abelian2, Subspace.full(2)).reaches_zero
-    assert not derived_series(sl2, Subspace.full(3)).reaches_zero
-    assert derived_series(bundle_sl2.L, bundle_sl2.K).reaches_zero
+    assert derived_series(abelian2, Subspace.full(2))[-1].is_zero()
+    assert not derived_series(sl2, Subspace.full(3))[-1].is_zero()
+    assert derived_series(bundle_sl2.L, bundle_sl2.K)[-1].is_zero()
 
 
 # --- Killing form ---------------------------------------------------------
@@ -164,7 +164,7 @@ def test_radical_is_a_soluble_ideal_with_semisimple_quotient(zoo):
     for _, alg in zoo:
         rad = soluble_radical(alg)
         assert is_ideal(alg, rad)
-        assert derived_series(alg, rad).reaches_zero
+        assert derived_series(alg, rad)[-1].is_zero()
         qalg, _ = quotient(alg, rad)
         assert soluble_radical(qalg).is_zero()
         if qalg.dim:
