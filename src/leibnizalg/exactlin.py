@@ -20,7 +20,8 @@ Gauss-Jordan over Fractions.
 too: each matrix keeps the columns it has met scaled by their own
 denominators, the vector is scaled once, and each output coordinate is
 one integer sum and at most one Fraction.  The dense sums, scalings and
-products of matrices serve ``exp_nilpotent`` and the sl3 generators.
+products of matrices serve ``exp_nilpotent``; the only other user is
+``Matrix.__sub__`` in the benchmark's sl(n) builder (``workloads.sln``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ _ONE = Fraction(1)
 
 
 class NotNilpotentError(ValueError):
-    """Raised when a map required to be nilpotent has d^dim != 0."""
+    """Raised when a map required to be nilpotent has a power d^k with
+    nonzero trace, which proves it is not nilpotent."""
 
 
 def as_scalar(value: object) -> Fraction:
@@ -482,9 +484,11 @@ def apply_to_subspace(m: Matrix, u: Subspace) -> Subspace:
 def exp_nilpotent(d: Matrix) -> Matrix:
     """Exact exponential of a nilpotent square matrix via its terminating series.
 
-    Raises ValueError when d is not square, and NotNilpotentError when
-    d^n != 0 for n x n d; by Cayley-Hamilton a nilpotent map on n-space
-    vanishes at the n-th power, so no further probing is needed.
+    Raises ValueError when d is not square, and NotNilpotentError at the
+    first power d^k whose trace is nonzero.  Over Q, by Newton's
+    identities, d is nilpotent exactly when tr(d^k) = 0 for k = 1..n, so
+    such a trace proves d is not nilpotent, and a map that passes every
+    trace vanishes by its n-th power, where the series ends.
     """
     n = d.rows
     if d.cols != n:
@@ -493,9 +497,11 @@ def exp_nilpotent(d: Matrix) -> Matrix:
     power = Matrix.identity(n)
     k = 0
     while not power.is_zero():
-        if k == n:
-            raise NotNilpotentError(f"map has nonzero {n}-th power")
         total = total + power.scale(Fraction(1, factorial(k)))
         power = power @ d
         k += 1
+        trace = sum(power.entries[i][i] for i in range(n))
+        if trace:
+            raise NotNilpotentError(
+                f"map is not nilpotent: tr(d^{k}) = {trace} is nonzero")
     return total

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
@@ -26,7 +27,7 @@ from leibnizalg import (
 )
 from leibnizalg.algebra import quotient, subspace_product
 from leibnizalg.conjugacy import exp_inner_automorphism
-from leibnizalg.exactlin import apply_to_subspace, solve_affine
+from leibnizalg.exactlin import NotNilpotentError, apply_to_subspace, solve_affine
 
 F = Fraction
 
@@ -427,3 +428,20 @@ def correction_system_oracle(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[Matr
                 rows.append(tuple(row))
                 rhs.append(-defect[t])
     return Matrix(len(rows), q * r, tuple(rows)), tuple(rhs)
+
+
+def exp_nilpotent_oracle(d: Matrix) -> Matrix:
+    """``exactlin.exp_nilpotent`` without its trace test: sum the dense
+    series, and reject d only once d^n != 0 for n x n d, since by
+    Cayley-Hamilton a nilpotent map on n-space vanishes at the n-th power."""
+    n = d.rows
+    total = Matrix.zeros(n, n)
+    power = Matrix.identity(n)
+    k = 0
+    while not power.is_zero():
+        if k == n:
+            raise NotNilpotentError(f"d^{n} != 0")
+        total = total + power.scale(F(1, factorial(k)))
+        power = power @ d
+        k += 1
+    return total

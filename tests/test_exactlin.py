@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from leibnizalg import Matrix, Subspace, rref
+from conftest import exp_nilpotent_oracle, matrix_inverse
+from leibnizalg import Matrix, Subspace, counterexample, inner_derivation, rref
 from leibnizalg.exactlin import (
     NotNilpotentError,
     as_vector,
@@ -486,7 +487,7 @@ def test_exp_single_jordan_block():
 
 
 def test_exp_rejects_identity():
-    with pytest.raises(NotNilpotentError):
+    with pytest.raises(NotNilpotentError, match=r"tr\(d\^1\) = 2 is nonzero"):
         exp_nilpotent(Matrix.identity(2))
 
 
@@ -505,3 +506,73 @@ def test_exp_inverse_of_negation(n, data):
             rows[i][j] = data.draw(rationals)
     d = Matrix.from_rows(rows)
     assert exp_nilpotent(d) @ exp_nilpotent(d.scale(F(-1))) == Matrix.identity(n)
+
+
+def count_products(monkeypatch) -> list:
+    calls = []
+    real = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+def test_exp_rejects_h1_of_the_sl3_bundle_at_the_second_power(monkeypatch, bundle_sl3):
+    # tr(L_h1) = 0 but tr(L_h1^2) != 0; the Cayley-Hamilton stop at
+    # d^16 would take 16 products
+    alg = bundle_sl3.L
+    d = inner_derivation(alg, alg.basis_vector(alg.labels.index("h1")))
+    calls = count_products(monkeypatch)
+    with pytest.raises(NotNilpotentError) as info:
+        exp_nilpotent(d)
+    assert len(calls) <= 2
+    assert "tr(d^2)" in str(info.value)
+
+
+def test_exp_rejects_a_three_cycle_at_its_cube(monkeypatch):
+    # a 3-cycle permutation block plus a zero row and column: tr(d) and
+    # tr(d^2) vanish, tr(d^3) = 3
+    d = Matrix.from_rows([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+    calls = count_products(monkeypatch)
+    with pytest.raises(NotNilpotentError) as info:
+        exp_nilpotent(d)
+    assert len(calls) == 3
+    assert "tr(d^3) = 3 is nonzero" in str(info.value)
+
+
+def exp_or_none(exp, d: Matrix) -> Matrix | None:
+    try:
+        return exp(d)
+    except NotNilpotentError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_exp_of_a_conjugated_triangular_map_matches_the_oracle(n, data):
+    # P N P^-1 is nilpotent, but unlike N its diagonal need not vanish
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = data.draw(rationals)
+    p = Matrix.from_rows(data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(rref(p)[2] == n)
+    d = p @ Matrix.from_rows(rows) @ matrix_inverse(p)
+    assert exp_nilpotent(d) == exp_nilpotent_oracle(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_exp_of_a_small_integer_map_matches_the_oracle(rows):
+    d = Matrix.from_rows(rows)
+    assert exp_or_none(exp_nilpotent, d) == exp_or_none(exp_nilpotent_oracle, d)
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "sl3", "sl4"])
+def test_exp_of_bundle_left_multiplications_matches_the_oracle(name):
+    alg = counterexample(name).L
+    for i in range(alg.dim):
+        d = inner_derivation(alg, alg.basis_vector(i))
+        assert exp_or_none(exp_nilpotent, d) == exp_or_none(exp_nilpotent_oracle, d), \
+            alg.labels[i]
