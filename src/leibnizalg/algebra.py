@@ -12,11 +12,10 @@ assumed; Lie algebras are the special case where it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactlin import (
     Matrix,
@@ -52,8 +51,7 @@ class NotASubalgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failing basis triple (a,b,c): a(bc) != (ab)c + b(ac)."""
 
     i: int
@@ -63,8 +61,7 @@ class Violation:
     rhs: Vector
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -78,7 +75,6 @@ Pairs = tuple[tuple[int, Fraction], ...]
 IntPairs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class StructureTable:
     """The tensor c[i][j][k] of basis products b_i . b_j = sum_k c[i][j][k] b_k.
 
@@ -87,30 +83,40 @@ class StructureTable:
     ``cache`` starts empty; it holds what ``structure`` derives from the
     table alone.  ``scaled`` and ``den``, the integer form of the index,
     are built once, on first use.  None of these enters ``==``, ``hash``
-    or ``repr``, which see only ``c``.
+    or ``repr``, which see only ``dim`` and ``c``.
     """
 
-    dim: int
-    c: tuple[tuple[Vector, ...], ...]
-    nonzero: tuple[dict[int, Pairs], ...] = field(init=False, repr=False, compare=False)
-    cache: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = self.dim
-        if len(self.c) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in self.c
+    def __init__(self, dim: int, c: tuple[tuple[Vector, ...], ...]):
+        if len(c) != dim or any(
+            len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise ValueError("structure tensor shape differs from dim")
         index = []
-        for plane in self.c:
+        for plane in c:
             products = {}
             for j, row in enumerate(plane):
                 pairs = tuple((k, e) for k, e in enumerate(row) if e)
                 if pairs:
                     products[j] = pairs
             index.append(products)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "nonzero", tuple(index))
         object.__setattr__(self, "cache", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("StructureTable is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.c) == (other.dim, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.c))
+
+    def __repr__(self) -> str:
+        return f"StructureTable(dim={self.dim!r}, c={self.c!r})"
 
     @cached_property
     def den(self) -> tuple[int, ...]:

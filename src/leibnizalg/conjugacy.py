@@ -11,7 +11,7 @@ complement to the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     LeibnizAlgebra,
@@ -55,16 +55,14 @@ class NotAComplementError(CertificateError):
     complement witnesses."""
 
 
-@dataclass(frozen=True)
-class InvarianceRow:
+class InvarianceRow(NamedTuple):
     basis_index: int
     label: str
     passed: bool
     failing_row: int | None  # first row of U (in index order) leaving U, if any
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     rows: tuple[InvarianceRow, ...]
 
     @property
@@ -72,15 +70,13 @@ class InvarianceReport:
         return all(r.passed for r in self.rows)
 
 
-@dataclass(frozen=True)
-class ExpCheck:
+class ExpCheck(NamedTuple):
     basis_index: int
     label: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class NonConjugacyCertificate:
+class NonConjugacyCertificate(NamedTuple):
     algebra_digest: str
     S: Subspace
     S1: Subspace

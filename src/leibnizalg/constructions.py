@@ -3,9 +3,9 @@ with zero right action, and the two-complements bundle they produce."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .algebra import (
     LeibnizAlgebra,
@@ -32,23 +32,26 @@ class UnknownAlgebraError(ValueError):
     """Catalog lookup with a name that is not in it."""
 
 
-@dataclass(frozen=True)
-class ModuleAction:
-    """A list of operators on Q^space_dim indexed by the acting basis."""
-
+class _ModuleActionFields(NamedTuple):
     acting_dim: int
     space_dim: int
     rho: tuple[Matrix, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rho) != self.acting_dim:
+
+class ModuleAction(_ModuleActionFields):
+    """A list of operators on Q^space_dim indexed by the acting basis."""
+
+    __slots__ = ()
+
+    def __new__(cls, acting_dim: int, space_dim: int, rho: tuple[Matrix, ...]):
+        if len(rho) != acting_dim:
             raise ValueError("one operator per acting basis element required")
-        if any((m.rows, m.cols) != (self.space_dim, self.space_dim) for m in self.rho):
+        if any((m.rows, m.cols) != (space_dim, space_dim) for m in rho):
             raise ValueError("operator is not space_dim x space_dim")
+        return super().__new__(cls, acting_dim, space_dim, rho)
 
 
-@dataclass(frozen=True)
-class CounterexampleBundle:
+class CounterexampleBundle(NamedTuple):
     """A split extension carrying two distinct semisimple complements.
 
     ``L`` has the simple algebra as its first coordinate block and a copy

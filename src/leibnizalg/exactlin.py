@@ -26,7 +26,6 @@ products of matrices serve ``exp_nilpotent``; the only other user is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -81,14 +80,28 @@ def vec_is_zero(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable rows x cols grid of rationals.  As a linear map it acts
     on column vectors: column j is the image of the j-th basis vector."""
 
-    rows: int
-    cols: int
-    entries: tuple[Vector, ...]
+    def __init__(self, rows: int, cols: int, entries: tuple[Vector, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Matrix is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]], cols: int | None = None) -> "Matrix":

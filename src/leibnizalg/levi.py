@@ -16,8 +16,8 @@ Free variables are set to zero, so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     LeibnizAlgebra,
@@ -46,8 +46,7 @@ class NoSolutionError(ValueError):
     semisimple)."""
 
 
-@dataclass(frozen=True)
-class LeviWitnesses:
+class LeviWitnesses(NamedTuple):
     """The four defining checks of a semisimple complement."""
 
     sum_is_full: bool
@@ -61,7 +60,7 @@ class LeviWitnesses:
                 and self.closed_under_product and self.complement_semisimple)
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return self._asdict()
 
 
 class LeviVerificationError(ValueError):
@@ -74,8 +73,7 @@ class LeviVerificationError(ValueError):
         super().__init__(f"complement failed verification: {', '.join(failed)}")
 
 
-@dataclass(frozen=True)
-class LeviDecomposition:
+class LeviDecomposition(NamedTuple):
     semisimple_part: Subspace
     radical: Subspace
     witnesses: LeviWitnesses

@@ -401,6 +401,47 @@ def coprime_bundle(bundle_sl2):
     return LeibnizAlgebra(StructureTable.from_rows(grid), labels=alg.labels)
 
 
+def test_structure_table_repr_shows_dim_and_c():
+    table = StructureTable(1, (((F(0),),),))
+    assert repr(table) == "StructureTable(dim=1, c=(((Fraction(0, 1),),),))"
+
+
+def test_structure_tables_compare_and_hash_by_dim_and_c(coprime_bundle):
+    """``nonzero``, ``cache``, ``den`` and ``scaled`` stay out of ``==``
+    and ``hash``, whether or not they have been filled."""
+    table = coprime_bundle.table
+    used, fresh = StructureTable(table.dim, table.c), StructureTable(table.dim, table.c)
+    used.cache["marker"] = 1
+    assert used.den and used.scaled
+    assert not fresh.cache and "den" not in vars(fresh) and "scaled" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used != StructureTable.from_map(used.dim, {})
+    assert used != (used.dim, used.c)
+
+
+@pytest.mark.parametrize("name", ["dim", "c", "nonzero", "cache", "den", "scaled", "other"])
+def test_structure_table_rejects_assignment(name):
+    table = StructureTable.from_map(2, {(0, 1): {1: 1}})
+    with pytest.raises(AttributeError):
+        setattr(table, name, ())
+    assert table == StructureTable.from_map(2, {(0, 1): {1: 1}})
+
+
+def test_den_and_scaled_are_built_once_per_table(monkeypatch, coprime_bundle):
+    built = []
+    for name in ("den", "scaled"):
+        prop = vars(StructureTable)[name]
+        monkeypatch.setattr(prop, "func", lambda self, f=prop.func, name=name:
+                            built.append((name, self)) or f(self))
+    table = StructureTable(coprime_bundle.dim, coprime_bundle.table.c)
+    alg = LeibnizAlgebra(table, coprime_bundle.labels, validate=False)
+    for _ in range(3):  # each product reads both
+        product(alg, alg.basis_vector(0), alg.basis_vector(1))
+        assert table.scaled and table.den
+    assert [name for name, _ in built] == ["scaled", "den"]
+    assert all(owner is table for _, owner in built)
+
+
 def test_each_coordinate_has_its_own_denominator(coprime_bundle):
     table = coprime_bundle.table
     n = table.dim

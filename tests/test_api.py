@@ -2,14 +2,18 @@
 the README example, the acceptance suite and the benchmark import plus
 the types those names return, take or raise, and the README's library
 example runs as written.  The names the benchmark imports from library
-modules resolve too, and its sl(n) builder agrees with the catalog."""
+modules resolve too, and its sl(n) builder agrees with the catalog.
+Importing the package loads no introspection modules."""
 
 import ast
 import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,20 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(readme_example(), str(README), "exec"), {})
     assert out.getvalue().count("\n") == 2  # the distinctness vector, the witnesses
+
+
+@pytest.mark.parametrize("module", ["leibnizalg", "leibnizalg.cli"])
+def test_import_loads_no_introspection_modules(module):
+    """dataclasses pulls in inspect, ast and dis; with the methods it
+    generates, that was about a third of the CLI's import time.  Checked
+    in a fresh interpreter, against what it had loaded before the import."""
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = set(ast.literal_eval(subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout))
+    assert {module, "leibnizalg.conjugacy", "leibnizalg.exactlin"} <= loaded
+    assert loaded & {"ast", "dataclasses", "dis", "inspect"} == set()
 
 
 def benchmark_module_imports() -> set[tuple[str, str]]:

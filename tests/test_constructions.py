@@ -197,6 +197,13 @@ def test_module_action_rejects_an_operator_of_the_wrong_shape(sl2, shape):
         ModuleAction(3, 3, (rho[0], Matrix.zeros(*shape), rho[2]))
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_module_action_rejects_a_wrong_operator_count(sl2, count):
+    rho = adjoint_module(sl2).rho
+    with pytest.raises(ValueError, match="one operator per acting basis element"):
+        ModuleAction(3, 3, (rho * 2)[:count])
+
+
 def test_adjoint_requires_lie(square_algebra):
     with pytest.raises(NotLieError):
         adjoint_module(square_algebra)

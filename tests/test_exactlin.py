@@ -290,6 +290,40 @@ def test_applied_matrix_compares_hashes_and_prints_as_a_fresh_copy():
     assert repr(used) == repr(fresh)
 
 
+def test_matrix_repr_names_its_three_fields():
+    m = Matrix(1, 2, ((F(1), F(0)),))
+    assert repr(m) == "Matrix(rows=1, cols=2, entries=((Fraction(1, 1), Fraction(0, 1)),))"
+
+
+@pytest.mark.parametrize("name", ["rows", "cols", "entries", "_scaled_columns", "other"])
+def test_matrix_rejects_assignment(name):
+    m = Matrix.identity(2)
+    with pytest.raises(AttributeError):
+        setattr(m, name, 0)
+    assert m == Matrix.identity(2)
+
+
+def test_matrix_equality_is_by_value_and_type():
+    m = Matrix.from_rows([[1, 2]])
+    assert m == Matrix(1, 2, (as_vector([1, 2]),))
+    assert m != Matrix.from_rows([[1, 3]])
+    assert m != Matrix.from_rows([[1], [2]])
+    assert m != (1, 2, m.entries)
+    assert Matrix.zeros(0, 2) != Matrix.zeros(0, 3)
+
+
+def test_scaled_columns_are_built_once_per_matrix(monkeypatch):
+    prop = vars(Matrix)["_scaled_columns"]
+    built = []
+    original = prop.func
+    monkeypatch.setattr(prop, "func", lambda self: built.append(self) or original(self))
+    m, other = Matrix.from_rows([[1, F(1, 2)], [0, 3]]), Matrix.identity(2)
+    for v in ([1, 0], [0, 1], [1, 1]):
+        m.apply(v)
+        other.apply(v)
+    assert len(built) == 2 and built[0] is m and built[1] is other
+
+
 def test_apply_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2]]).apply([1, 2, 3])

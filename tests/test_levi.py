@@ -476,6 +476,14 @@ def test_verify_diagonal(bundle_sl2):
     assert verify_levi(bundle_sl2.L, bundle_sl2.S1).all_pass
 
 
+def test_witnesses_as_dict_keeps_the_field_order(bundle_sl2):
+    """The CLI reports the witnesses in this order."""
+    w = verify_levi(bundle_sl2.L, bundle_sl2.K)
+    assert list(w.as_dict().items()) == [
+        ("sum_is_full", False), ("intersection_is_zero", False),
+        ("closed_under_product", True), ("complement_semisimple", False)]
+
+
 # Subspaces of the sl2 bundle (basis e, h, f, e', h', f'), by name.
 BUNDLE_SUBSPACES = {
     "S": lambda b: b.S,
