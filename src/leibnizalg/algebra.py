@@ -1,12 +1,12 @@
 """Left Leibniz algebras presented by structure constants.
 
 An algebra on an ordered basis b_0..b_{n-1} is a structure table: the
-constants c[i][j][k] with b_i . b_j = sum_k c[i][j][k] b_k, held both as
-the full tensor and as an index of its nonzero entries.  Products, the
-identity check and the other walks over the table iterate that index, so
-their cost follows the number of nonzero products rather than a power of
-the dimension.  Products and subspace products run on integers, through
-a copy of the index scaled per coordinate.  Antisymmetry is never
+constants c[i][j][k] with b_i . b_j = sum_k c[i][j][k] b_k, held only as
+an index of the nonzero ones.  Tables are built straight into it, and
+products, the identity check and the other walks over the table iterate
+it, so their cost follows the number of nonzero products rather than a
+power of the dimension.  Products and subspace products run on integers,
+through a copy of the index scaled per coordinate.  Antisymmetry is never
 assumed; Lie algebras are the special case where it holds.
 """
 
@@ -76,14 +76,16 @@ IntPairs = tuple[tuple[int, int], ...]
 
 
 class StructureTable:
-    """The tensor c[i][j][k] of basis products b_i . b_j = sum_k c[i][j][k] b_k.
+    """The constants c[i][j][k] of b_i . b_j = sum_k c[i][j][k] b_k.
 
     ``nonzero[i]`` maps each j with b_i . b_j != 0, in increasing j, to
-    that product's nonzero (k, c) pairs.  It is built once, here, and
-    ``cache`` starts empty; it holds what ``structure`` derives from the
-    table alone.  ``scaled`` and ``den``, the integer form of the index,
-    are built once, on first use.  None of these enters ``==``, ``hash``
-    or ``repr``, which see only ``dim`` and ``c``.
+    that product's nonzero (k, c) pairs, in increasing k.  It is the one
+    stored form, built alike from a dense tensor and by ``from_map``, and
+    ``==`` and ``hash`` compare ``dim`` and it.  ``cache`` starts empty;
+    it holds what ``structure`` derives from the table alone.  ``scaled``
+    and ``den``, the integer form of the index, and ``c``, the dense dim³
+    tensor that ``repr`` shows, are built on first read; the library
+    never reads ``c``.
     """
 
     def __init__(self, dim: int, c: tuple[tuple[Vector, ...], ...]):
@@ -91,32 +93,48 @@ class StructureTable:
             len(plane) != dim or any(len(row) != dim for row in plane) for plane in c
         ):
             raise ValueError("structure tensor shape differs from dim")
-        index = []
-        for plane in c:
-            products = {}
-            for j, row in enumerate(plane):
-                pairs = tuple((k, e) for k, e in enumerate(row) if e)
-                if pairs:
-                    products[j] = pairs
-            index.append(products)
+        self._index(dim, ((i, j, enumerate(row))
+                          for i, plane in enumerate(c) for j, row in enumerate(plane)))
+
+    def _index(self, dim: int,
+               products: Iterable[tuple[int, int, Iterable[tuple[int, object]]]]) -> None:
+        """Set the fields from (i, j, (k, coeff) pairs); zeros are dropped."""
+        index: list[dict[int, Pairs]] = [{} for _ in range(dim)]
+        for i, j, row in products:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"index pair ({i},{j}) out of range")
+            pairs = []
+            for k, coeff in row:
+                if not 0 <= k < dim:
+                    raise ValueError(f"target index {k} out of range")
+                e = as_scalar(coeff)
+                if e:
+                    pairs.append((k, e))
+            if pairs:
+                index[i][j] = tuple(sorted(pairs))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "nonzero", tuple(index))
+        object.__setattr__(self, "nonzero", tuple(dict(sorted(p.items())) for p in index))
         object.__setattr__(self, "cache", {})
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, *args: object) -> None:
         raise AttributeError("StructureTable is immutable")
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.dim, self.c) == (other.dim, other.c)
+        return (self.dim, self.nonzero) == (other.dim, other.nonzero)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.c))
+        return hash((self.dim, tuple(tuple(p.items()) for p in self.nonzero)))
 
     def __repr__(self) -> str:
         return f"StructureTable(dim={self.dim!r}, c={self.c!r})"
+
+    @cached_property
+    def c(self) -> tuple[tuple[Vector, ...], ...]:
+        n = self.dim
+        return tuple(tuple(self.row(i, j) for j in range(n)) for i in range(n))
 
     @cached_property
     def den(self) -> tuple[int, ...]:
@@ -145,29 +163,20 @@ class StructureTable:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Sequence[object]]]) -> "StructureTable":
-        n = len(rows)
-        return StructureTable(n, tuple(
-            tuple(as_vector(row) for row in plane) for plane in rows
-        ))
+        return StructureTable(len(rows), rows)
 
     @staticmethod
     def from_map(dim: int, products: Mapping[tuple[int, int], Mapping[int, object]]) -> "StructureTable":
-        """Build a dense table from a sparse {(i,j): {k: coeff}} description."""
-        grid = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), row in products.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"index pair ({i},{j}) out of range")
-            for k, coeff in row.items():
-                if not 0 <= k < dim:
-                    raise ValueError(f"target index {k} out of range")
-                grid[i][j][k] = as_scalar(coeff)
-        return StructureTable(dim, tuple(
-            tuple(tuple(row) for row in plane) for plane in grid
-        ))
+        """Build a table from a sparse {(i,j): {k: coeff}} description."""
+        table = StructureTable.__new__(StructureTable)
+        table._index(dim, ((i, j, row.items()) for (i, j), row in products.items()))
+        return table
 
     def row(self, i: int, j: int) -> Vector:
         """Coordinates of the basis product b_i . b_j."""
-        return self.c[i][j]
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"basis pair ({i},{j}) out of range")
+        return _dense_sum(self.dim, [(1, self.nonzero[i].get(j, ()))])
 
 
 class LeibnizAlgebra:
@@ -197,8 +206,9 @@ class LeibnizAlgebra:
             if not report.ok:
                 raise LeibnizIdentityError(report)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, *args: object) -> None:
         raise AttributeError("LeibnizAlgebra is immutable")
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeibnizAlgebra):
@@ -437,17 +447,15 @@ def restrict_to_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
     if u.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
     rows = u.rows()
-    grid = []
-    for x in rows:
-        plane = []
-        for y in rows:
+    products = {}
+    for a, x in enumerate(rows):
+        for b, y in enumerate(rows):
             coords = u.coordinates(product(alg, x, y))
             if coords is None:
                 raise NotASubalgebraError("restriction to a subspace that is not a subalgebra")
-            plane.append(coords)
-        grid.append(tuple(plane))
+            products[(a, b)] = dict(enumerate(coords))
     return LeibnizAlgebra(
-        StructureTable(len(rows), tuple(grid)),
+        StructureTable.from_map(len(rows), products),
         labels=[alg.labels[p] for p in u.pivots],
         validate=False,
     )

@@ -174,6 +174,10 @@ def non_conjugacy_certificate(alg: LeibnizAlgebra, s: Subspace,
                               "inner derivations", witnesses)
     exp_checks = []
     for i in range(alg.dim):
+        if not alg.table.nonzero[i]:
+            # b_i multiplies everything to zero: exp(0) = 1 fixes s
+            exp_checks.append(ExpCheck(i, alg.labels[i], True))
+            continue
         d = inner_derivation(alg, alg.basis_vector(i))
         try:
             g = exp_nilpotent(d)

@@ -89,10 +89,9 @@ def _table_from_matrices(mats: list[Matrix]) -> StructureTable:
     ))
     # by_row[t][k]: the nonzero (j, x) of row k of generator t
     by_row = [[[(j, x) for j, x in enumerate(row) if x] for row in m.entries] for m in mats]
-    grid = []
-    for a in by_row:
-        plane = []
-        for b in by_row:
+    products = {}
+    for s, a in enumerate(by_row):
+        for t, b in enumerate(by_row):
             acc = [_ZERO] * (size * size)
             for i in range(size):
                 for k, x in a[i]:
@@ -104,9 +103,8 @@ def _table_from_matrices(mats: list[Matrix]) -> StructureTable:
             bracket = tuple(acc)
             if not span.contains(bracket):
                 raise ValueError("bracket escapes the span of the generators")
-            plane.append(left_inverse.apply(bracket))
-        grid.append(tuple(plane))
-    return StructureTable(n, tuple(grid))
+            products[(s, t)] = dict(enumerate(left_inverse.apply(bracket)))
+    return StructureTable.from_map(n, products)
 
 
 def _sl2() -> LeibnizAlgebra:
@@ -201,20 +199,12 @@ def split_extension_zero_right(salg: LeibnizAlgebra, action: ModuleAction,
         raise NotLieError("split extension base must be a Lie algebra here")
     sd, md = salg.dim, action.space_dim
     n = sd + md
-    grid = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(sd):
-        for j, pairs in salg.table.nonzero[i].items():
-            for k, e in pairs:
-                grid[i][j][k] = e
-        rho = action.rho[i]
+    products = {(i, j): dict(pairs)
+                for i, row in enumerate(salg.table.nonzero) for j, pairs in row.items()}
+    for i, rho in enumerate(action.rho):
         for j in range(md):
-            for k in range(md):
-                e = rho.entries[k][j]
-                if e != 0:
-                    grid[i][sd + j][sd + k] = e
-    table = StructureTable(n, tuple(
-        tuple(tuple(row) for row in plane) for plane in grid
-    ))
+            products[(i, sd + j)] = {sd + k: rho.entries[k][j] for k in range(md)}
+    table = StructureTable.from_map(n, products)
     if module_labels is None:
         module_labels = tuple(f"m{i}" for i in range(md))
     elif len(module_labels) != md:

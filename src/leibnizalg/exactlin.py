@@ -89,8 +89,9 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, *args: object) -> None:
         raise AttributeError("Matrix is immutable")
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -372,8 +373,9 @@ class Subspace:
         sub._set(ambient_dim, echelon)
         return sub
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, *args: object) -> None:
         raise AttributeError("Subspace is immutable")
+    __delattr__ = __setattr__
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

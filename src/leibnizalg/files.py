@@ -19,12 +19,11 @@ from .exactlin import Subspace
 
 FORMAT_VERSION = "1"
 
-# Largest dim an algebra file may declare.  A table is held as a dense
-# dim³ tensor of Fractions (plus its nonzero index), allocated before any
-# other check: parsing a dim-128 table with no products peaks at 53 MB
-# and grows with dim³, so a few kilobytes of labels could otherwise ask
-# for gigabytes.  The benchmark ladder tops out at dim 30 (the sl4
-# bundle); the tier-1 tests build the dim-48 sl5 bundle.
+# Largest dim an algebra file may declare.  A parsed table holds only its
+# nonzero products (an empty dim-128 file: 0.02 MB tracemalloc peak), but
+# the identity check still makes dim³ lookups, and the solves grow with
+# dim.  The benchmark ladder tops out at dim 30 (the sl4 bundle); the
+# tier-1 tests build the dim-48 sl5 bundle and an empty dim-128 file.
 MAX_DIM = 128
 
 

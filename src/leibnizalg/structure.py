@@ -79,20 +79,16 @@ def killing_form(alg: LeibnizAlgebra) -> Matrix:
     if not is_lie(alg):
         raise NotLieError("Killing form of a non-Lie algebra")
     n = alg.dim
-    c = alg.table.c
-    nonzero = alg.table.nonzero
+    # ad[i][s, r] = c[i][s][r], read off the index
+    ad = [{(s, r): e for s, pairs in products.items() for r, e in pairs}
+          for products in alg.table.nonzero]
     # trace(ad b_i o ad b_j) = sum over s, r of c[i][s][r] * c[j][r][s]
     gram = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            cj = c[j]
-            t = _ZERO
-            for s, pairs in nonzero[i].items():
-                for r, e in pairs:
-                    f = cj[r][s]
-                    if f:
-                        t += e * f
-            gram[i][j] = gram[j][i] = t
+            adj = ad[j]
+            gram[i][j] = gram[j][i] = sum(
+                (e * adj[r, s] for (s, r), e in ad[i].items() if (r, s) in adj), _ZERO)
     return Matrix(n, n, tuple(tuple(row) for row in gram))
 
 

@@ -113,15 +113,34 @@ def test_equal_tables_compare_and_hash_equal(sl2):
         for i, products in enumerate(sl2.table.nonzero)
         for j, pairs in products.items()
     })
+    # keys in reverse order, scalars as strings, and explicit "0"
+    # coefficients, next to a product's nonzero one and as a whole product
+    unsorted = StructureTable.from_map(3, {
+        (i, j): {(k + 1) % 3: "0", k: str(e)}
+        for i, products in reversed(list(enumerate(sl2.table.nonzero)))
+        for j, ((k, e),) in reversed(products.items())
+    } | {(2, 2): {0: "0"}})
     soluble_radical(sl2)  # fills sl2's cache, not theirs
-    for table in (dense, rows, sparse):
+    for table in (dense, rows, sparse, unsorted):
         assert table == sl2.table
         assert hash(table) == hash(sl2.table)
         assert repr(table) == repr(sl2.table)
+        assert [list(p.items()) for p in table.nonzero] == [
+            list(p.items()) for p in sl2.table.nonzero]
         for name in ("nonzero", "scaled", "den", "cache"):
             assert name not in repr(table)
     assert LeibnizAlgebra(sparse, labels=sl2.labels) == sl2
     assert StructureTable.from_map(3, {}) != sl2.table
+    assert StructureTable.from_map(2, {(1, 1): {1: 1}, (1, 0): {1: 1, 0: "1/2"}}).nonzero == (
+        {}, {0: ((0, F(1, 2)), (1, F(1))), 1: ((1, F(1)),)})
+    with pytest.raises(ValueError, match=r"^index pair \(0,3\) out of range$"):
+        StructureTable.from_map(3, {(0, 1): {0: 1}, (0, 3): {0: 1}})
+    with pytest.raises(ValueError, match=r"^index pair \(-1,0\) out of range$"):
+        StructureTable.from_map(3, {(-1, 0): {0: 1}})
+    with pytest.raises(ValueError, match=r"^target index 3 out of range$"):
+        StructureTable.from_map(3, {(0, 1): {0: 1, 3: 0}})
+    with pytest.raises(ValueError, match=r"^structure tensor shape differs from dim$"):
+        StructureTable(2, sl2.table.c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -407,13 +426,14 @@ def test_structure_table_repr_shows_dim_and_c():
 
 
 def test_structure_tables_compare_and_hash_by_dim_and_c(coprime_bundle):
-    """``nonzero``, ``cache``, ``den`` and ``scaled`` stay out of ``==``
-    and ``hash``, whether or not they have been filled."""
+    """``==`` and ``hash`` compare ``dim`` and the index, which fixes c;
+    ``cache``, ``den``, ``scaled`` and ``c`` itself stay out, whether or
+    not they have been filled."""
     table = coprime_bundle.table
     used, fresh = StructureTable(table.dim, table.c), StructureTable(table.dim, table.c)
     used.cache["marker"] = 1
-    assert used.den and used.scaled
-    assert not fresh.cache and "den" not in vars(fresh) and "scaled" not in vars(fresh)
+    assert used.den and used.scaled and used.c == table.c
+    assert not fresh.cache and not {"den", "scaled", "c"} & set(vars(fresh))
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert used != StructureTable.from_map(used.dim, {})
     assert used != (used.dim, used.c)
@@ -422,9 +442,32 @@ def test_structure_tables_compare_and_hash_by_dim_and_c(coprime_bundle):
 @pytest.mark.parametrize("name", ["dim", "c", "nonzero", "cache", "den", "scaled", "other"])
 def test_structure_table_rejects_assignment(name):
     table = StructureTable.from_map(2, {(0, 1): {1: 1}})
+    assert table.c and table.den and table.scaled  # fill the cached views
     with pytest.raises(AttributeError):
         setattr(table, name, ())
+    with pytest.raises(AttributeError):
+        delattr(table, name)
     assert table == StructureTable.from_map(2, {(0, 1): {1: 1}})
+    assert table.row(0, 1) == (F(0), F(1))
+
+
+@pytest.mark.parametrize("name", ["dim", "labels", "table", "other"])
+def test_algebra_rejects_assignment(name, sl2):
+    alg = LeibnizAlgebra(sl2.table, sl2.labels)
+    with pytest.raises(AttributeError):
+        setattr(alg, name, ())
+    with pytest.raises(AttributeError):
+        delattr(alg, name)
+    assert alg == sl2 and alg.labels == ("e", "h", "f")
+
+
+def test_row_reads_the_index_and_checks_its_range():
+    table = StructureTable.from_map(3, {(0, 2): {1: 1}})
+    assert [table.row(0, j) for j in range(3)] == [(F(0),) * 3, (F(0),) * 3, (F(0), F(1), F(0))]
+    assert "c" not in vars(table)
+    for i, j in ((3, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError, match="out of range"):
+            table.row(i, j)
 
 
 def test_den_and_scaled_are_built_once_per_table(monkeypatch, coprime_bundle):

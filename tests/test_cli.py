@@ -4,10 +4,20 @@ determinism."""
 import json
 import re
 import time
+import tracemalloc
 
 import pytest
 
-from leibnizalg import cli, counterexample, levi, structure
+from leibnizalg import (
+    StructureTable,
+    Subspace,
+    cli,
+    counterexample,
+    leibniz_levi,
+    levi,
+    non_conjugacy_certificate,
+    structure,
+)
 from leibnizalg.cli import main
 from leibnizalg.files import (
     MAX_DIM,
@@ -104,6 +114,38 @@ def _empty_table(dim):
 
 def test_dim_at_the_limit_is_accepted():
     assert parse_algebra(_empty_table(MAX_DIM), validate=False).dim == MAX_DIM
+
+
+def test_empty_table_at_the_limit_is_cheap(capsys, tmp_path):
+    """A file at the limit with no products parses into its empty index
+    alone, with no dim³ tensor, and every command reading it exits 0."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_empty_table(MAX_DIM)))
+    tracemalloc.start()
+    try:
+        alg = load_algebra(path, validate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == MAX_DIM and alg.table.nonzero == ({},) * MAX_DIM
+    assert peak < 1 << 20
+    for command in ("validate", "analyze", "levi"):
+        assert run(capsys, command, str(path))[0] == 0
+
+
+def test_library_never_reads_the_dense_tensor(monkeypatch, tmp_path, bundle_sl3):
+    path = tmp_path / "sl3.json"
+    dump_algebra(bundle_sl3.L, path)
+    alg = load_algebra(path)
+    reads = []
+    prop = vars(StructureTable)["c"]
+    monkeypatch.setattr(prop, "func", lambda self, f=prop.func: reads.append(self) or f(self))
+    leibniz_levi(alg)
+    structure.derived_series(alg, Subspace.full(alg.dim))
+    structure.is_semisimple(alg)
+    non_conjugacy_certificate(alg, bundle_sl3.S, bundle_sl3.S1)
+    assert "c" not in vars(alg.table)
+    assert reads == []
 
 
 def test_dim_above_the_limit_is_rejected(capsys, tmp_path):

@@ -23,7 +23,7 @@ from leibnizalg import (
 )
 from leibnizalg import conjugacy
 from leibnizalg.conjugacy import exp_inner_automorphism
-from leibnizalg.exactlin import NotNilpotentError, apply_to_subspace
+from leibnizalg.exactlin import NotNilpotentError, apply_to_subspace, exp_nilpotent
 from leibnizalg.files import algebra_digest
 from leibnizalg.sampling import rational_vector
 
@@ -184,13 +184,32 @@ def test_sl3_certificate(bundle_sl3):
 
 def test_one_left_multiplication_per_basis_element(monkeypatch, bundle_sl3):
     # the invariance check multiplies through the table; only the
-    # exponential checks build the map
+    # exponential checks build the map, and only where it is nonzero:
+    # the 8 elements of the module block multiply everything to zero
     calls = []
     real = conjugacy.left_multiplication
     monkeypatch.setattr(conjugacy, "left_multiplication",
                         lambda alg, a: calls.append(1) or real(alg, a))
     non_conjugacy_certificate(bundle_sl3.L, bundle_sl3.S, bundle_sl3.S1)
-    assert len(calls) == bundle_sl3.L.dim
+    assert len(calls) == bundle_sl3.L.dim - 8
+
+
+@pytest.mark.parametrize("name", ["bundle_sl2", "bundle_so3", "bundle_sl3"])
+def test_zero_maps_are_recorded_without_their_exponential(request, name):
+    """A basis element with no nonzero product gets a passing check, as
+    the exponential of its (zero) map would give."""
+    bundle = request.getfixturevalue(name)
+    alg = bundle.L
+    expected = []
+    for i in range(alg.dim):
+        try:
+            g = exp_nilpotent(inner_derivation(alg, alg.basis_vector(i)))
+        except NotNilpotentError:
+            continue
+        expected.append((i, alg.labels[i], apply_to_subspace(g, bundle.S) == bundle.S))
+    cert = non_conjugacy_certificate(alg, bundle.S, bundle.S1)
+    assert [tuple(c) for c in cert.exp_checks] == expected
+    assert sum(not products for products in alg.table.nonzero) == alg.dim // 2
 
 
 def test_words_of_exponentials_fix_s(bundle_sl2):

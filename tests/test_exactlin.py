@@ -298,9 +298,22 @@ def test_matrix_repr_names_its_three_fields():
 @pytest.mark.parametrize("name", ["rows", "cols", "entries", "_scaled_columns", "other"])
 def test_matrix_rejects_assignment(name):
     m = Matrix.identity(2)
+    m.apply([1, 2])  # fills _scaled_columns
     with pytest.raises(AttributeError):
         setattr(m, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(m, name)
     assert m == Matrix.identity(2)
+
+
+@pytest.mark.parametrize("name", ["ambient_dim", "basis", "pivots", "_entries", "other"])
+def test_subspace_rejects_assignment(name):
+    s = Subspace.full(2)
+    with pytest.raises(AttributeError):
+        setattr(s, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(s, name)
+    assert s == Subspace.full(2) and s.pivots == (0, 1)
 
 
 def test_matrix_equality_is_by_value_and_type():
