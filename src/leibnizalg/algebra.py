@@ -311,12 +311,15 @@ def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     The report is empty exactly when the identity holds; otherwise it
     lists each violating triple, in (i, j, k) order, with both sides as
     dense vectors.  Triple (i, j, k) is the derivation law of left
-    multiplication by b_i at the pair (j, k).
+    multiplication by b_i at the pair (j, k), which holds for every pair
+    when that map is zero (an empty ``nonzero[i]``).
     """
     n = alg.dim
     nonzero = alg.table.nonzero
     violations = []
     for i, images in enumerate(nonzero):
+        if not images:
+            continue
         for j, k, lhs, rhs in _derivation_failures(nonzero, images):
             violations.append(Violation(i, j, k, _dense_sum(n, lhs), _dense_sum(n, rhs)))
     return ViolationReport(tuple(violations))
@@ -339,14 +342,14 @@ def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> Matrix:
         raise ValueError("vector length differs from algebra dimension")
     n = alg.dim
     nonzero = alg.table.nonzero
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for i, ai in enumerate(av):
         if not ai:
             continue
         for j, pairs in nonzero[i].items():
             for k, e in pairs:
-                rows[k][j] += ai * e
-    return Matrix(n, n, tuple(tuple(row) for row in rows))
+                rows[k][j] = rows[k].get(j, _ZERO) + ai * e
+    return Matrix._from_nonzero(n, n, [row.items() for row in rows])
 
 
 def _scaled_span(table: StructureTable, sums: Iterable[Mapping[int, int]]) -> Subspace:

@@ -91,11 +91,10 @@ def is_derivation(alg: LeibnizAlgebra, d: Matrix) -> bool:
     """d(x.y) = d(x).y + x.d(y) on all basis pairs."""
     if (d.rows, d.cols) != (alg.dim, alg.dim):
         raise ValueError("map dimension differs from algebra dimension")
-    images = {}
-    for m in range(alg.dim):
-        pairs = tuple((k, e) for k, e in enumerate(d.column(m)) if e)
-        if pairs:
-            images[m] = pairs
+    images: dict[int, tuple] = {}   # column m of d as its (k, e) pairs
+    for k, row in enumerate(d.nonzero):
+        for m, e in row:
+            images[m] = images.get(m, ()) + ((k, e),)
     return next(_derivation_failures(alg.table.nonzero, images), None) is None
 
 

@@ -87,18 +87,16 @@ def _table_from_matrices(mats: list[Matrix]) -> StructureTable:
         solve_affine(flat_rows, [_ONE if s == t else _ZERO for s in range(n)])[0]
         for t in range(n)
     ))
-    # by_row[t][k]: the nonzero (j, x) of row k of generator t
-    by_row = [[[(j, x) for j, x in enumerate(row) if x] for row in m.entries] for m in mats]
     products = {}
-    for s, a in enumerate(by_row):
-        for t, b in enumerate(by_row):
+    for s, a in enumerate(mats):
+        for t, b in enumerate(mats):
             acc = [_ZERO] * (size * size)
             for i in range(size):
-                for k, x in a[i]:
-                    for j, y in b[k]:
+                for k, x in a.nonzero[i]:
+                    for j, y in b.nonzero[k]:
                         acc[i * size + j] += x * y
-                for k, y in b[i]:
-                    for j, x in a[k]:
+                for k, y in b.nonzero[i]:
+                    for j, x in a.nonzero[k]:
                         acc[i * size + j] -= y * x
             bracket = tuple(acc)
             if not span.contains(bracket):
@@ -137,9 +135,8 @@ def _sln_generators(n: int) -> dict[str, Matrix]:
     """The n x n matrices spanning sl(n), by label: e_ij for i < j, then
     the e_ji in the same order, then h_m = e_mm - e_{m+1,m+1}."""
     def matrix(cells: dict[tuple[int, int], Fraction]) -> Matrix:
-        return Matrix(n, n, tuple(
-            tuple(cells.get((r, c), _ZERO) for c in range(n)) for r in range(n)
-        ))
+        return Matrix._from_nonzero(n, n, [
+            [(c, x) for (r, c), x in cells.items() if r == i] for i in range(n)])
 
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     gens = {f"e{i + 1}{j + 1}": matrix({(i, j): _ONE}) for i, j in upper}
@@ -154,9 +151,10 @@ def _sln(n: int) -> LeibnizAlgebra:
     return LeibnizAlgebra(_table_from_matrices(list(gens.values())), labels=tuple(gens))
 
 
-# The catalog stops at sl5, whose bundle has dim 48: the sl6 bundle's
-# ``levi`` needs 3.5 s and 432 MB, and the sl8 bundle's runs out of
-# memory (README "Cost").
+# The catalog stops at sl5, whose bundle has dim 48.  ``_sln(n)`` builds
+# larger ones: ``leibniz_levi`` takes about 0.5 s and a 32 MB process
+# peak on the sl6 bundle, and 3 s and 85 MB on the sl8 bundle (README
+# "Cost").
 _BUILDERS = {
     "sl2": _sl2,
     "sl3": partial(_sln, 3),
@@ -202,8 +200,9 @@ def split_extension_zero_right(salg: LeibnizAlgebra, action: ModuleAction,
     products = {(i, j): dict(pairs)
                 for i, row in enumerate(salg.table.nonzero) for j, pairs in row.items()}
     for i, rho in enumerate(action.rho):
-        for j in range(md):
-            products[(i, sd + j)] = {sd + k: rho.entries[k][j] for k in range(md)}
+        for k, row in enumerate(rho.nonzero):
+            for j, x in row:
+                products.setdefault((i, sd + j), {})[sd + k] = x
     table = StructureTable.from_map(n, products)
     if module_labels is None:
         module_labels = tuple(f"m{i}" for i in range(md))

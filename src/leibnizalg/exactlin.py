@@ -1,25 +1,26 @@
 """Exact linear algebra over the rationals.
 
 Values are :class:`fractions.Fraction`; there is no floating point
-anywhere.  Vectors are tuples of scalars, matrices are immutable
-row-major grids, and a subspace always carries the unique reduced
-row echelon basis of its span, so two subspaces are equal as sets exactly
+anywhere.  Vectors are tuples of scalars.  A matrix is immutable and
+stored as its nonzero entries, row by row; its dense grid is a view,
+built on first read.  A subspace always carries the unique reduced row
+echelon basis of its span, so two subspaces are equal as sets exactly
 when they compare equal structurally.
 
 Elimination runs on integers.  One kernel (``_echelon``) serves ``rref``,
-``Subspace``, ``kernel_basis`` and ``solve_affine``: each row is scaled
-once to its primitive integer multiple, kept as a sparse ``{column: int}``
-dict, and reduced by fraction-free row operations with the gcd content
-removed after every step.  Fractions are made only when the result is
-written back, one division by the pivot entry per entry.  The RREF is
-unique, so this gives the same bases, pivots and solutions as
-Gauss-Jordan over Fractions.
+``Subspace``, ``kernel_basis`` and ``solve_affine``: each row's nonzero
+entries are scaled once to their primitive integer multiple, kept as a
+sparse ``{column: int}`` dict, and reduced by fraction-free row
+operations with the gcd content removed after every step.  Fractions
+are made only when the result is written back, one division by the
+pivot entry per entry.  The RREF is unique, so this gives the same
+bases, pivots and solutions as Gauss-Jordan over Fractions.
 
 ``Matrix`` is the one type for linear maps.  Matrix-vector products
 (``Matrix.apply``, and through it ``apply_to_subspace``) run on integers
-too: each matrix keeps the columns it has met scaled by their own
-denominators, the vector is scaled once, and each output coordinate is
-one integer sum and at most one Fraction.  The dense sums, scalings and
+too: each matrix keeps its columns scaled by their own denominators,
+the vector is scaled once, and each output coordinate is one integer
+sum and at most one Fraction.  The dense sums, scalings and
 products of matrices serve ``exp_nilpotent``; the only other user is
 ``Matrix.__sub__`` in the benchmark's sl(n) builder (``workloads.sln``).
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -76,18 +77,36 @@ def vec_scale(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def vec_is_zero(x: Vector) -> bool:
-    return all(a == 0 for a in x)
-
-
 class Matrix:
-    """Immutable rows x cols grid of rationals.  As a linear map it acts
-    on column vectors: column j is the image of the j-th basis vector."""
+    """Immutable rows x cols matrix of rationals.  As a linear map it acts
+    on column vectors: column j is the image of the j-th basis vector.
+
+    ``nonzero[i]`` is row i as its nonzero (column, value) pairs, in
+    increasing column.  It is the one stored form, and ``==`` and
+    ``hash`` compare ``rows``, ``cols`` and it.  ``_from_nonzero`` is the
+    library's builder.  ``entries``, the dense grid, is a view built on
+    first read; the dense constructor keeps the grid it was given as it.
+    """
 
     def __init__(self, rows: int, cols: int, entries: tuple[Vector, ...]):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError("entries shape differs from rows x cols")
+        self._set(rows, cols, tuple(tuple(compress(enumerate(r), r)) for r in entries))
+        object.__setattr__(self, "entries", entries)
+
+    def _set(self, rows: int, cols: int, nonzero: tuple) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "nonzero", nonzero)
+
+    @staticmethod
+    def _from_nonzero(rows: int, cols: int,
+                      pairs: Iterable[Iterable[tuple[int, object]]]) -> "Matrix":
+        """The matrix whose row i has the (column, value) pairs pairs[i],
+        given in any order; zero values are dropped."""
+        m = Matrix.__new__(Matrix)
+        m._set(rows, cols, tuple(tuple(sorted((j, x) for j, x in row if x)) for row in pairs))
+        return m
 
     def __setattr__(self, *args: object) -> None:
         raise AttributeError("Matrix is immutable")
@@ -96,42 +115,43 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.nonzero) == (other.rows, other.cols, other.nonzero)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.nonzero))
 
     def __repr__(self) -> str:
         return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
+    @cached_property
+    def entries(self) -> tuple[Vector, ...]:
+        grid = [[_ZERO] * self.cols for _ in self.nonzero]
+        for row, pairs in zip(grid, self.nonzero):
+            for j, x in pairs:
+                row[j] = x
+        return tuple(map(tuple, grid))
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]], cols: int | None = None) -> "Matrix":
         data = tuple(as_vector(r) for r in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        if cols is not None and data and width != cols:
+        width = len(data[0]) if data else 0 if cols is None else cols
+        if cols is not None and width != cols:
             raise ValueError(f"expected {cols} columns, got {width}")
-        return Matrix(len(data), width, data)
+        return Matrix(len(data), width, data)  # which refuses ragged rows
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-        ))
+        return Matrix._from_nonzero(n, n, [((i, _ONE),) for i in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, ((_ZERO,) * cols,) * rows)
+        return Matrix._from_nonzero(rows, cols, [()] * rows)
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.entries)
+        return not any(self.nonzero)
 
     def scale(self, c: Fraction) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
@@ -164,32 +184,29 @@ class Matrix:
 
     @cached_property
     def _scaled_columns(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
-        """Column j as ``_scaled_row`` of its nonzero (row, entry) pairs,
-        filled in by ``apply`` for each column it meets.  As a cached
+        """Each nonzero column j as ``_scaled_row`` of its (row, entry)
+        pairs, built from ``nonzero`` by the first ``apply``.  As a cached
         property it stays out of ``==``, ``hash`` and ``repr``."""
-        return {}
+        columns: dict[int, list[tuple[int, Fraction]]] = {}
+        for i, row in enumerate(self.nonzero):
+            for j, x in row:
+                columns.setdefault(j, []).append((i, x))
+        return {j: _scaled_row(pairs) for j, pairs in columns.items()}
 
     def apply(self, v: Sequence[object]) -> Vector:
         """Matrix times column vector, on integers.
 
-        v is scaled once to dv * v.  Each column j that v meets is kept
-        scaled by d_j, the lcm of its own denominators; with D the lcm of
-        those d_j, output coordinate i is one integer sum over D * dv.
-        A column is scaled the first time a vector meets it, so a matrix
-        applied to a few sparse vectors scans only the columns they use.
+        v is scaled once to dv * v.  Each column j is kept scaled by d_j,
+        the lcm of its own denominators; with D the lcm of the d_j of the
+        nonzero columns that v meets, output coordinate i is one integer
+        sum over D * dv.
         """
         vv = as_vector(v)
         if len(vv) != self.cols:
             raise ValueError("shape mismatch")
         dv, scaled = _scaled_row([(j, x) for j, x in enumerate(vv) if x])
         columns = self._scaled_columns
-        terms = []
-        for j, x in scaled:
-            column = columns.get(j)
-            if column is None:
-                column = columns[j] = _scaled_row(
-                    [(i, row[j]) for i, row in enumerate(self.entries) if row[j]])
-            terms.append((column, x))
+        terms = [(columns[j], x) for j, x in scaled if j in columns]
         den = lcm(*[d for (d, _), _ in terms])
         acc = [0] * self.rows
         for (d, pairs), x in terms:
@@ -205,32 +222,13 @@ def _scaled_row(pairs: Sequence[tuple[int, Fraction]]) -> tuple[int, list[tuple[
     return d, [(c, x.numerator * (d // x.denominator)) for c, x in pairs]
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> Iterator[dict[int, int]]:
-    """Each nonzero row as its primitive integer multiple ``{column: int}``.
-
-    The row is multiplied by the lcm of its denominators and divided by
-    the gcd of the resulting numerators; zero rows are skipped.  Dense
-    rows usually repeat one zero object, so the last zero seen is skipped
-    by identity instead of by a call to ``Fraction.__bool__``.
-    """
-    zero = _ZERO
+def _integer_rows(rows: Iterable[Sequence[tuple[int, Fraction]]]) -> Iterator[dict[int, int]]:
+    """Each nonempty row of (column, value) pairs, none of them zero, as
+    its primitive integer multiple ``{column: int}``: scaled by the lcm
+    of its denominators and divided by the gcd of the numerators."""
     for row in rows:
-        nonzero = []
-        for c, x in enumerate(row):
-            if x is zero:
-                continue
-            if x:
-                nonzero.append((c, x.numerator, x.denominator))
-            else:
-                zero = x
-        if not nonzero:
-            continue
-        den = lcm(*[q for _, _, q in nonzero])
-        if den == 1:
-            out = {c: v for c, v, _ in nonzero}
-        else:
-            out = {c: v * (den // q) for c, v, q in nonzero}
-        yield _make_primitive(out)
+        if row:
+            yield _make_primitive(dict(_scaled_row(row)[1]))
 
 
 def _make_primitive(r: dict[int, int]) -> dict[int, int]:
@@ -305,13 +303,6 @@ def _fraction_entries(echelon: _Echelon) -> list[list[tuple[int, Fraction]]]:
     return [[(c, Fraction(v, d)) for c, v in e.items()] for _, d, e in echelon]
 
 
-def _dense(entries: Iterable[tuple[int, Fraction]], n_cols: int) -> Vector:
-    row = [_ZERO] * n_cols
-    for c, x in entries:
-        row[c] = x
-    return tuple(row)
-
-
 def _null_rows(echelon: _Echelon, n_cols: int) -> Iterator[dict[int, int]]:
     """One integer null vector per free column f below ``n_cols``: 1 at f
     and, at each pivot, minus the column-f entry of that pivot's RREF row,
@@ -335,10 +326,10 @@ def _null_rows(echelon: _Echelon, n_cols: int) -> Iterator[dict[int, int]]:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Unique reduced row echelon form of m, with pivot columns and rank."""
-    echelon = _echelon(_integer_rows(m.entries))
-    rows = [_dense(entries, m.cols) for entries in _fraction_entries(echelon)]
-    rows += [(_ZERO,) * m.cols] * (m.rows - len(echelon))
-    return Matrix(m.rows, m.cols, tuple(rows)), tuple(p for p, _, _ in echelon), len(echelon)
+    echelon = _echelon(_integer_rows(m.nonzero))
+    reduced = Matrix._from_nonzero(
+        m.rows, m.cols, _fraction_entries(echelon) + [()] * (m.rows - len(echelon)))
+    return reduced, tuple(p for p, _, _ in echelon), len(echelon)
 
 
 class Subspace:
@@ -346,26 +337,23 @@ class Subspace:
 
     The basis rows are the reduced row echelon form of any spanning set,
     with zero rows dropped, so equal subspaces have identical bases and
-    ``==`` decides equality of spans.  The nonzero entries of each basis
-    row are kept as well, for eliminating vectors against the basis.
+    ``==`` decides equality of spans.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_entries")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, spanning_rows: Iterable[Sequence[object]] = ()):
         rows = [as_vector(r) for r in spanning_rows]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("row length differs from ambient dimension")
-        self._set(ambient_dim, _echelon(_integer_rows(rows)))
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("row length differs from ambient dimension")
+        nonzero = [list(compress(enumerate(r), r)) for r in rows]
+        self._set(ambient_dim, _echelon(_integer_rows(nonzero)))
 
     def _set(self, ambient_dim: int, echelon: _Echelon) -> None:
-        entries = _fraction_entries(echelon)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Matrix(len(echelon), ambient_dim, tuple(
-            _dense(row, ambient_dim) for row in entries)))
+        object.__setattr__(self, "basis", Matrix._from_nonzero(
+            len(echelon), ambient_dim, _fraction_entries(echelon)))
         object.__setattr__(self, "pivots", tuple(p for p, _, _ in echelon))
-        object.__setattr__(self, "_entries", entries)
 
     @staticmethod
     def _from_echelon(ambient_dim: int, echelon: _Echelon) -> "Subspace":
@@ -400,9 +388,9 @@ class Subspace:
         return self.basis.entries
 
     @property
-    def sparse_rows(self) -> list[list[tuple[int, Fraction]]]:
-        """The basis rows as their nonzero (column, value) pairs; read only."""
-        return self._entries
+    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The basis rows as their nonzero (column, value) pairs."""
+        return self.basis.nonzero
 
     def _eliminate(self, v: Sequence[object]) -> tuple[Vector, list[Fraction]]:
         """(coefficients of v on the basis rows, residual of v)."""
@@ -410,7 +398,7 @@ class Subspace:
         if len(w) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
         coeffs = tuple(w[p] for p in self.pivots)
-        for f, row in zip(coeffs, self._entries):
+        for f, row in zip(coeffs, self.basis.nonzero):
             if f:
                 for j, e in row:
                     w[j] -= f * e
@@ -444,7 +432,7 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space of m as a canonical subspace of Q^cols."""
-    echelon = _echelon(_integer_rows(m.entries))
+    echelon = _echelon(_integer_rows(m.nonzero))
     return Subspace._from_echelon(m.cols, _echelon(_null_rows(echelon, m.cols)))
 
 
@@ -459,7 +447,8 @@ def solve_affine(a: Matrix, b: Sequence[object]) -> tuple[Vector, Subspace] | No
     if len(bb) != a.rows:
         raise ValueError("right-hand side length differs from row count")
     n = a.cols
-    echelon = _echelon(_integer_rows((*r, c) for r, c in zip(a.entries, bb)), stop_at=n)
+    echelon = _echelon(_integer_rows(row + ((n, c),) if c else row
+                                     for row, c in zip(a.nonzero, bb)), stop_at=n)
     if echelon is None:
         return None
     x = [_ZERO] * n
@@ -472,7 +461,8 @@ def solve_affine(a: Matrix, b: Sequence[object]) -> tuple[Vector, Subspace] | No
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace(u.ambient_dim, u.rows() + v.rows())
+    return Subspace._from_echelon(u.ambient_dim,
+                                  _echelon(_integer_rows(u.sparse_rows + v.sparse_rows)))
 
 
 def embed_rows(u: Subspace, rows: Iterable[Sequence[object]]) -> Subspace:

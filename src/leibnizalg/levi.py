@@ -16,6 +16,7 @@ Free variables are set to zero, so results are reproducible.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -133,11 +134,11 @@ def _abelian_complement(alg: LeibnizAlgebra, ideal: Subspace) -> Subspace:
               for t, x in at_pivots((w, nonzero[c].get(f, ())) for c, w in row).items()]
              for f in free]
 
-    # unknowns: α_im flattened as i*r + m
+    # unknowns: α_im flattened as i*r + m; equation (i, j, t) as {column: coefficient}
     rows, rhs = [], []
     for i, fi in enumerate(free):
         for j, fj in enumerate(free):
-            eqs = [[_ZERO] * (q * r) for _ in range(r)]
+            eqs = [defaultdict(Fraction) for _ in range(r)]
             for t, m, x in left[i]:
                 eqs[t][j * r + m] += x
             for t, m, x in right[j]:
@@ -146,15 +147,16 @@ def _abelian_complement(alg: LeibnizAlgebra, ideal: Subspace) -> Subspace:
                 for t in range(r):
                     eqs[t][k * r + t] -= c
             defect = at_pivots([(1, nonzero[fi].get(fj, ()))])
-            rows += map(tuple, eqs)
+            rows += [tuple(eq.items()) for eq in eqs]
             rhs += [-defect.get(t, _ZERO) for t in range(r)]
-    solved = solve_affine(Matrix(len(rows), q * r, tuple(rows)), tuple(rhs))
+    solved = solve_affine(Matrix._from_nonzero(len(rows), q * r, rows), tuple(rhs))
     if solved is None:
         raise NoSolutionError("correction system is inconsistent")
     alpha, _ = solved
     out = []
-    for i, u in enumerate(lifts.rows()):
-        v = list(u)
+    for i, f in enumerate(free):
+        v = [_ZERO] * alg.dim
+        v[f] = Fraction(1)
         for a, row in zip(alpha[i * r:], ideal.sparse_rows):
             for c, e in row:
                 v[c] += a * e

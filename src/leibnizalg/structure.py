@@ -83,13 +83,13 @@ def killing_form(alg: LeibnizAlgebra) -> Matrix:
     ad = [{(s, r): e for s, pairs in products.items() for r, e in pairs}
           for products in alg.table.nonzero]
     # trace(ad b_i o ad b_j) = sum over s, r of c[i][s][r] * c[j][r][s]
-    gram = [[_ZERO] * n for _ in range(n)]
+    gram: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             adj = ad[j]
             gram[i][j] = gram[j][i] = sum(
                 (e * adj[r, s] for (s, r), e in ad[i].items() if (r, s) in adj), _ZERO)
-    return Matrix(n, n, tuple(tuple(row) for row in gram))
+    return Matrix._from_nonzero(n, n, [row.items() for row in gram])
 
 
 def _lie_radical(alg: LeibnizAlgebra) -> Subspace:
@@ -99,9 +99,9 @@ def _lie_radical(alg: LeibnizAlgebra) -> Subspace:
     if derived.is_zero():
         return Subspace.full(alg.dim)
     gram = killing_form(alg)
-    constraints = Matrix(derived.dim, alg.dim, tuple(
-        gram.apply(row) for row in derived.rows()
-    ))
+    constraints = Matrix._from_nonzero(derived.dim, alg.dim, [
+        enumerate(gram.apply(row)) for row in derived.rows()
+    ])
     return kernel_basis(constraints)
 
 

@@ -254,7 +254,7 @@ def test_bundle_passes(bundle_sl2):
     assert check_left_leibniz(bundle_sl2.L).ok
 
 
-def test_single_entry_mutation_is_caught(sl2):
+def test_single_entry_mutation_is_caught(sl2, bundle_sl2):
     # change h.e from 2e to 3e
     mutated = mutate_entry(sl2, 1, 0, 0, 3)
     report = check_left_leibniz(mutated)
@@ -277,6 +277,12 @@ def test_single_entry_mutation_is_caught(sl2):
         assert violation.lhs == lhs
         assert violation.rhs == rhs
         assert lhs != rhs
+    # the module rows 3..5 of the sl2 bundle are empty (L_b = 0 there);
+    # changing h.e' from 2e' to 3e' breaks the identity in the other rows
+    bundle_mutant = mutate_entry(bundle_sl2.L, 1, 3, 3, 3)
+    assert not any(bundle_mutant.table.nonzero[3:])
+    assert not check_left_leibniz(bundle_mutant).ok
+    assert_checker_matches_oracle(bundle_mutant)
 
 
 def test_mutation_sensitivity_seeded(sl2):

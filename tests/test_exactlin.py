@@ -295,7 +295,8 @@ def test_matrix_repr_names_its_three_fields():
     assert repr(m) == "Matrix(rows=1, cols=2, entries=((Fraction(1, 1), Fraction(0, 1)),))"
 
 
-@pytest.mark.parametrize("name", ["rows", "cols", "entries", "_scaled_columns", "other"])
+@pytest.mark.parametrize("name", ["rows", "cols", "nonzero", "entries", "_scaled_columns",
+                                  "other"])
 def test_matrix_rejects_assignment(name):
     m = Matrix.identity(2)
     m.apply([1, 2])  # fills _scaled_columns
@@ -306,7 +307,7 @@ def test_matrix_rejects_assignment(name):
     assert m == Matrix.identity(2)
 
 
-@pytest.mark.parametrize("name", ["ambient_dim", "basis", "pivots", "_entries", "other"])
+@pytest.mark.parametrize("name", ["ambient_dim", "basis", "pivots", "other"])
 def test_subspace_rejects_assignment(name):
     s = Subspace.full(2)
     with pytest.raises(AttributeError):
@@ -314,11 +315,24 @@ def test_subspace_rejects_assignment(name):
     with pytest.raises(AttributeError):
         delattr(s, name)
     assert s == Subspace.full(2) and s.pivots == (0, 1)
+    assert Subspace.__slots__ == ("ambient_dim", "basis", "pivots")
 
 
 def test_matrix_equality_is_by_value_and_type():
     m = Matrix.from_rows([[1, 2]])
     assert m == Matrix(1, 2, (as_vector([1, 2]),))
+    # the same matrix built dense with explicit zeros and from its nonzeros,
+    # given out of column order and with a zero pair
+    rows = [[0, F(1, 2), 0], [0, 0, 0], [F(-3), 0, 7]]
+    dense = Matrix.from_rows(rows)
+    sparse = Matrix._from_nonzero(3, 3, [[(1, F(1, 2))], [(1, F(0))], [(2, F(7)), (0, F(-3))]])
+    assert set(vars(sparse)) == {"rows", "cols", "nonzero"}
+    assert set(vars(dense)) == {"rows", "cols", "nonzero", "entries"}
+    assert sparse.nonzero == dense.nonzero == (
+        ((1, F(1, 2)),), (), ((0, F(-3)), (2, F(7))))
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert repr(sparse) == repr(dense) and sparse.entries == dense.entries
+    assert sparse != Matrix._from_nonzero(3, 2, sparse.nonzero)
     assert m != Matrix.from_rows([[1, 3]])
     assert m != Matrix.from_rows([[1], [2]])
     assert m != (1, 2, m.entries)
@@ -340,6 +354,10 @@ def test_scaled_columns_are_built_once_per_matrix(monkeypatch):
 def test_apply_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2]]).apply([1, 2, 3])
+    # a dense grid of another shape than rows x cols is refused when built
+    for rows, cols, entries in [(2, 3, ((F(1),),)), (1, 1, ((F(1), F(2)),))]:
+        with pytest.raises(ValueError, match=r"^entries shape differs from rows x cols$"):
+            Matrix(rows, cols, entries)
 
 
 # --- as_vector ------------------------------------------------------------

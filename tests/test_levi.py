@@ -34,7 +34,7 @@ from leibnizalg.algebra import (
 )
 from leibnizalg.constructions import _table_from_matrices
 from leibnizalg.exactlin import Matrix, subspace_sum
-from leibnizalg.structure import derived_series
+from leibnizalg.structure import derived_series, killing_form
 
 from conftest import (
     change_basis,
@@ -180,6 +180,24 @@ def test_indecomposable_module_has_no_complement(heisenberg):
             levi._abelian_complement(heisenberg, centre)
     [(_, _, _, system)] = calls
     assert system == correction_system_oracle(heisenberg, centre)
+
+
+def test_no_dense_grid_on_the_way_to_the_solve(bundle_sl3, sl3, monkeypatch):
+    # the correction system, the maps and the bases are built from their
+    # nonzero entries: the dense view ``entries`` is never filled in
+    dense = []
+    solve = levi.solve_affine
+    monkeypatch.setattr(levi, "solve_affine",
+                        lambda a, b: dense.append("entries" in vars(a)) or solve(a, b))
+    alg = bundle_sl3.L
+    assert leibniz_levi(alg).witnesses.all_pass
+    assert dense == [False]
+    fresh = [left_multiplication(alg, alg.basis_vector(i)) for i in range(alg.dim)]
+    fresh.append(killing_form(sl3))
+    fresh.append(Subspace(alg.dim, bundle_sl3.S1.rows()).basis)
+    fresh.append(subspace_sum(bundle_sl3.S, bundle_sl3.K).basis)
+    for m in fresh:
+        assert "entries" not in vars(m)
 
 
 def test_bundle_complement_properties(bundle_sl2):
