@@ -222,6 +222,8 @@ class LeibnizAlgebra:
         return f"LeibnizAlgebra(dim={self.dim}, labels={list(self.labels)})"
 
     def basis_vector(self, i: int) -> Vector:
+        if not 0 <= i < self.dim:
+            raise IndexError(f"basis index {i} out of range")
         v = [_ZERO] * self.dim
         v[i] = Fraction(1)
         return tuple(v)

@@ -127,23 +127,6 @@ def invariance_check(alg: LeibnizAlgebra, u: Subspace) -> InvarianceReport:
     return InvarianceReport(tuple(rows))
 
 
-def exp_inner_automorphism(alg: LeibnizAlgebra, x) -> Matrix:
-    """Exponential of the inner derivation at x (x nilpotent required).
-
-    The result is checked to be an algebra automorphism on basis pairs,
-    g(b_i.b_j) = g(b_i).g(b_j), before it is returned.
-    """
-    g = exp_nilpotent(inner_derivation(alg, x))
-    n = alg.dim
-    cols = [g.column(j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if g.apply(alg.table.row(i, j)) != product(alg, cols[i], cols[j]):
-                raise AssertionError("exponential is not an automorphism; "
-                                     "the algebra is inconsistent")
-    return g
-
-
 def _separating_vector(s: Subspace, s1: Subspace) -> Vector | None:
     return next((r for r in s1.rows() if not s.contains(r)), None)
 

@@ -215,19 +215,12 @@ def counterexample(name: str) -> CounterexampleBundle:
     """The bundle over a catalog algebra: split extension of its adjoint
     module with zero right action, first block and diagonal complements."""
     salg = simple_algebra(name)
-    action = adjoint_module(salg)
     sd = salg.dim
-    alg = split_extension_zero_right(
-        salg, action, module_labels=tuple(f"{lbl}'" for lbl in salg.labels)
-    )
+    alg = split_extension_zero_right(salg, adjoint_module(salg),
+                                     module_labels=tuple(f"{lbl}'" for lbl in salg.labels))
     n = alg.dim
-
-    s_block = Subspace(n, [alg.basis_vector(i) for i in range(sd)])
+    s_block, diagonal = _diagonal(n, _ZERO), _diagonal(n, _ONE)
     k_block = Subspace(n, [alg.basis_vector(sd + i) for i in range(sd)])
-    diagonal = Subspace(n, [
-        tuple(_ONE if j == i or j == sd + i else _ZERO for j in range(n))
-        for i in range(sd)
-    ])
 
     if leibniz_kernel(alg) != k_block:
         raise AssertionError("squares ideal differs from the module block")
@@ -235,8 +228,7 @@ def counterexample(name: str) -> CounterexampleBundle:
         for j in range(sd):
             left = product(alg, diagonal.rows()[i], diagonal.rows()[j])
             st = product(salg, salg.basis_vector(i), salg.basis_vector(j))
-            expected = tuple(st) + tuple(st)
-            if left != expected:
+            if left != st + st:
                 raise AssertionError("diagonal block violates the product identity")
     for cand in (s_block, diagonal):
         if not verify_levi(alg, cand).all_pass:
@@ -247,15 +239,13 @@ def counterexample(name: str) -> CounterexampleBundle:
                                 S1=diagonal)
 
 
+def _diagonal(n: int, lam: Fraction) -> Subspace:
+    """The span of the b_i + lam*b_{n/2+i}, i < n/2: the graph {(v, lam*v')}."""
+    sd = n // 2
+    return Subspace(n, [tuple(_ONE if j == i else lam if j == sd + i else _ZERO
+                              for j in range(n)) for i in range(sd)])
+
+
 def diagonal_complement(bundle: CounterexampleBundle, lam: object) -> Subspace:
     """The complement {(v, lam*v')}; lam=0 gives S and lam=1 gives S1."""
-    lam = as_scalar(lam)
-    n = bundle.L.dim
-    sd = n // 2
-    rows = []
-    for i in range(sd):
-        row = [_ZERO] * n
-        row[i] = _ONE
-        row[sd + i] = lam
-        rows.append(row)
-    return Subspace(n, rows)
+    return _diagonal(bundle.L.dim, as_scalar(lam))

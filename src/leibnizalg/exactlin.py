@@ -8,13 +8,14 @@ echelon basis of its span, so two subspaces are equal as sets exactly
 when they compare equal structurally.
 
 Elimination runs on integers.  One kernel (``_echelon``) serves ``rref``,
-``Subspace``, ``kernel_basis`` and ``solve_affine``: each row's nonzero
-entries are scaled once to their primitive integer multiple, kept as a
-sparse ``{column: int}`` dict, and reduced by fraction-free row
-operations with the gcd content removed after every step.  Fractions
-are made only when the result is written back, one division by the
-pivot entry per entry.  The RREF is unique, so this gives the same
-bases, pivots and solutions as Gauss-Jordan over Fractions.
+``Subspace`` and ``solve_affine``, which also returns the null space of
+its matrix.  Each row's nonzero entries are scaled once to their
+primitive integer multiple, kept as a sparse ``{column: int}`` dict, and
+reduced by fraction-free row operations with the gcd content removed
+after every step.  Fractions are made only when the result is written
+back, one division by the pivot entry per entry.  The RREF is unique, so
+this gives the same bases, pivots and solutions as Gauss-Jordan over
+Fractions.
 
 ``Matrix`` is the one type for linear maps.  Matrix-vector products
 (``Matrix.apply``, and through it ``apply_to_subspace``) run on integers
@@ -85,10 +86,12 @@ class Matrix:
     increasing column.  It is the one stored form, and ``==`` and
     ``hash`` compare ``rows``, ``cols`` and it.  ``_from_nonzero`` is the
     library's builder.  ``entries``, the dense grid, is a view built on
-    first read; the dense constructor keeps the grid it was given as it.
+    first read; the dense constructor coerces each row of the grid it is
+    given with ``as_vector`` and keeps the result as that view.
     """
 
-    def __init__(self, rows: int, cols: int, entries: tuple[Vector, ...]):
+    def __init__(self, rows: int, cols: int, entries: Iterable[Sequence[object]]):
+        entries = tuple(map(as_vector, entries))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entries shape differs from rows x cols")
         self._set(rows, cols, tuple(tuple(compress(enumerate(r), r)) for r in entries))
@@ -133,11 +136,10 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]], cols: int | None = None) -> "Matrix":
-        data = tuple(as_vector(r) for r in rows)
-        width = len(data[0]) if data else 0 if cols is None else cols
+        width = len(rows[0]) if rows else 0 if cols is None else cols
         if cols is not None and width != cols:
             raise ValueError(f"expected {cols} columns, got {width}")
-        return Matrix(len(data), width, data)  # which refuses ragged rows
+        return Matrix(len(rows), width, rows)  # which coerces and refuses ragged rows
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -148,6 +150,8 @@ class Matrix:
         return Matrix._from_nonzero(rows, cols, [()] * rows)
 
     def column(self, j: int) -> Vector:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
         return tuple(r[j] for r in self.entries)
 
     def is_zero(self) -> bool:
@@ -428,12 +432,6 @@ class Subspace:
     def __repr__(self) -> str:
         rows = [[str(x) for x in r] for r in self.basis.entries]
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}, rows={rows})"
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Null space of m as a canonical subspace of Q^cols."""
-    echelon = _echelon(_integer_rows(m.nonzero))
-    return Subspace._from_echelon(m.cols, _echelon(_null_rows(echelon, m.cols)))
 
 
 def solve_affine(a: Matrix, b: Sequence[object]) -> tuple[Vector, Subspace] | None:

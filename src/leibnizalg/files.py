@@ -86,6 +86,19 @@ def _is_index(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _header(data: object) -> int:
+    """The checked dim of the object / format_version / dim envelope that
+    algebra and subspace files share."""
+    if not isinstance(data, dict):
+        raise AlgebraFileError("top level must be a JSON object")
+    if data.get("format_version") != FORMAT_VERSION:
+        raise AlgebraFileError(f"unsupported format_version {data.get('format_version')!r}")
+    dim = data.get("dim")
+    if not _is_index(dim) or dim < 0:
+        raise AlgebraFileError("dim must be a nonnegative integer")
+    return dim
+
+
 def serialize_algebra(alg: LeibnizAlgebra) -> dict:
     table = [
         [i, j, [[k, scalar_to_str(e)] for k, e in pairs]]
@@ -101,13 +114,7 @@ def serialize_algebra(alg: LeibnizAlgebra) -> dict:
 
 
 def parse_algebra(data: object, validate: bool = True) -> LeibnizAlgebra:
-    if not isinstance(data, dict):
-        raise AlgebraFileError("top level must be a JSON object")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise AlgebraFileError(f"unsupported format_version {data.get('format_version')!r}")
-    dim = data.get("dim")
-    if not _is_index(dim) or dim < 0:
-        raise AlgebraFileError("dim must be a nonnegative integer")
+    dim = _header(data)
     if dim > MAX_DIM:
         raise AlgebraFileError(f"dim {dim} exceeds the limit of {MAX_DIM}")
     basis = data.get("basis")
@@ -162,13 +169,7 @@ def serialize_subspace(sub: Subspace) -> dict:
 
 
 def parse_subspace(data: object) -> Subspace:
-    if not isinstance(data, dict):
-        raise AlgebraFileError("top level must be a JSON object")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise AlgebraFileError(f"unsupported format_version {data.get('format_version')!r}")
-    dim = data.get("dim")
-    if not _is_index(dim) or dim < 0:
-        raise AlgebraFileError("dim must be a nonnegative integer")
+    dim = _header(data)
     rows = data.get("rows")
     if not isinstance(rows, list):
         raise AlgebraFileError("rows must be a list of scalar-string rows")
@@ -181,8 +182,7 @@ def parse_subspace(data: object) -> Subspace:
 
 
 def load_algebra(path: str | Path, validate: bool = True) -> LeibnizAlgebra:
-    data = _load_json(path)
-    return parse_algebra(data, validate=validate)
+    return parse_algebra(_load_json(path), validate=validate)
 
 
 def load_subspace(path: str | Path) -> Subspace:

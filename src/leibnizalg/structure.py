@@ -16,7 +16,7 @@ from .algebra import (
     quotient,
     subspace_product,
 )
-from .exactlin import Matrix, Subspace, embed_rows, kernel_basis, rref, subspace_sum
+from .exactlin import Matrix, Subspace, embed_rows, rref, solve_affine, subspace_sum
 
 _ZERO = Fraction(0)
 
@@ -102,7 +102,7 @@ def _lie_radical(alg: LeibnizAlgebra) -> Subspace:
     constraints = Matrix._from_nonzero(derived.dim, alg.dim, [
         enumerate(gram.apply(row)) for row in derived.rows()
     ])
-    return kernel_basis(constraints)
+    return solve_affine(constraints, (_ZERO,) * derived.dim)[1]
 
 
 @_per_table

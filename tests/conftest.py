@@ -5,6 +5,7 @@ squares ideal."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,9 +26,8 @@ from leibnizalg import (
     simple_algebra,
     split_extension_zero_right,
 )
-from leibnizalg.algebra import quotient, subspace_product
-from leibnizalg.conjugacy import exp_inner_automorphism
-from leibnizalg.exactlin import NotNilpotentError, apply_to_subspace, solve_affine
+from leibnizalg.algebra import left_multiplication, quotient, subspace_product
+from leibnizalg.exactlin import NotNilpotentError, apply_to_subspace, exp_nilpotent, solve_affine
 
 F = Fraction
 
@@ -228,6 +228,16 @@ def lie_semidirect(salg: LeibnizAlgebra, action: ModuleAction) -> LeibnizAlgebra
     return LeibnizAlgebra(StructureTable.from_rows(grid))
 
 
+def exp_left_multiplication(alg: LeibnizAlgebra, x) -> Matrix:
+    """exp(L_x) for nilpotent L_x, asserted to be an automorphism of alg on
+    every basis pair: g(b_i.b_j) = g(b_i).g(b_j)."""
+    g = exp_nilpotent(left_multiplication(alg, x))
+    cols = [g.column(j) for j in range(alg.dim)]
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        assert g.apply(alg.table.row(i, j)) == product(alg, cols[i], cols[j]), (i, j)
+    return g
+
+
 @pytest.fixture(scope="session")
 def moved_levi_pair():
     """sl2 acting on V(1), its sl2 block S, and S's image S1 under the
@@ -235,7 +245,7 @@ def moved_levi_pair():
     complements, but left multiplication by b_3 moves S out of itself."""
     alg = lie_semidirect(simple_algebra("sl2"), sl2_irrep(1))
     s = Subspace(alg.dim, [alg.basis_vector(i) for i in range(3)])
-    s1 = apply_to_subspace(exp_inner_automorphism(alg, alg.basis_vector(3)), s)
+    s1 = apply_to_subspace(exp_left_multiplication(alg, alg.basis_vector(3)), s)
     return alg, s, s1
 
 
@@ -301,7 +311,16 @@ def change_basis(alg: LeibnizAlgebra, g: Matrix, g_inv: Matrix,
 
 @dataclass(frozen=True)
 class KnownAlgebra:
-    """A generated algebra with the spans its construction predicts."""
+    """A generated algebra with the spans its construction predicts.
+
+    Without t.t = z the radical M is abelian and the splitter makes one
+    abelian step.  ``d`` is the dimension of that step's null space, so of
+    the affine family of complements, and ``b`` the rank of the inner
+    moves r -> (s -> r.s), r in M.  With zero right action a complement
+    is the graph of an S-map from the adjoint module to M, so d is the
+    multiplicity of V(2), and b = 0.  For the Lie semidirect sum,
+    Whitehead's first lemma gives d = b = dim M - dim M^S, the sum of
+    m + 1 over m > 0.  With t.t = z both are None."""
 
     alg: LeibnizAlgebra
     radical: Subspace
@@ -309,6 +328,8 @@ class KnownAlgebra:
     irreps: tuple[int, ...]
     lie: bool
     square: bool
+    d: int | None
+    b: int | None
 
 
 # +-p/q for p, q <= 3, 1 first so that hypothesis shrinks towards it
@@ -371,6 +392,7 @@ def leibniz_algebras(draw, max_dim=9):
     def span(indices):
         return Subspace(n, [g_inv.column(k) for k in indices])
 
+    nontrivial = sum(m + 1 for m in irreps if m > 0)  # dim M - dim M^S
     module = []
     start = 3
     for m in irreps:
@@ -384,6 +406,8 @@ def leibniz_algebras(draw, max_dim=9):
         irreps=tuple(irreps),
         lie=lie,
         square=square,
+        d=None if square else nontrivial if lie else irreps.count(2),
+        b=None if square else nontrivial if lie else 0,
     )
 
 

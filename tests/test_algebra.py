@@ -476,6 +476,15 @@ def test_row_reads_the_index_and_checks_its_range():
             table.row(i, j)
 
 
+@pytest.mark.parametrize("i", [-1, 6])
+def test_basis_vector_checks_its_range(bundle_sl2, i):
+    """-1 used to return the last basis vector."""
+    alg = bundle_sl2.L
+    assert alg.basis_vector(5) == (F(0),) * 5 + (F(1),)
+    with pytest.raises(IndexError, match=rf"^basis index {i} out of range$"):
+        alg.basis_vector(i)
+
+
 def test_den_and_scaled_are_built_once_per_table(monkeypatch, coprime_bundle):
     built = []
     for name in ("den", "scaled"):

@@ -3,6 +3,7 @@ the README example, the acceptance suite and the benchmark import plus
 the types those names return, take or raise, and the README's library
 example runs as written.  The names the benchmark imports from library
 modules resolve too, and its sl(n) builder agrees with the catalog.
+Every public function and class has a user outside the unit tests.
 Importing the package loads no introspection modules."""
 
 import ast
@@ -24,6 +25,7 @@ from leibnizalg import simple_algebra
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 BENCH = ROOT / "benchmark"
+SRC = ROOT / "src" / "leibnizalg"
 
 # The types that the imported names return, take or raise.
 TYPES = {
@@ -65,6 +67,30 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(readme_example(), str(README), "exec"), {})
     assert out.getvalue().count("\n") == 2  # the distinctness vector, the witnesses
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """(file name, name) for each public module-level function and class
+    of the library."""
+    return [(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    """Each public function and class is named somewhere besides its own
+    definition: in the library, the README, the acceptance suite, the
+    benchmark or the CI workflows.  One that only ``tests/`` names is API
+    that no caller needs."""
+    places = [*SRC.glob("*.py"), README, ROOT / "tests" / "test_acceptance.py",
+              *(p for p in BENCH.rglob("*") if p.suffix in (".py", ".md")),
+              *(ROOT / ".github" / "workflows").glob("*.yml")]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in places)
+    definitions = public_definitions()
+    assert len(definitions) > 50
+    assert [f"{file}:{name}" for file, name in definitions
+            if len(re.findall(rf"\b{name}\b", text)) < 2] == []
 
 
 @pytest.mark.parametrize("module", ["leibnizalg", "leibnizalg.cli"])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exp_left_multiplication
 from leibnizalg import (
     DistinctnessError,
     InvarianceError,
@@ -22,7 +23,6 @@ from leibnizalg import (
     verify_levi,
 )
 from leibnizalg import conjugacy
-from leibnizalg.conjugacy import exp_inner_automorphism
 from leibnizalg.exactlin import NotNilpotentError, apply_to_subspace, exp_nilpotent
 from leibnizalg.files import algebra_digest
 from leibnizalg.sampling import rational_vector
@@ -99,18 +99,18 @@ def test_failing_report_localizes_first_pair(bundle_sl2):
 # --- exponentials ------------------------------------------------------------------
 
 def test_exp_at_zero_is_identity(bundle_sl2):
-    assert exp_inner_automorphism(bundle_sl2.L, [0] * 6) == Matrix.identity(6)
+    assert exp_left_multiplication(bundle_sl2.L, [0] * 6) == Matrix.identity(6)
 
 
 def test_exp_at_e_maps_s_onto_s(bundle_sl2):
-    g = exp_inner_automorphism(bundle_sl2.L, bundle_sl2.L.basis_vector(0))
+    g = exp_left_multiplication(bundle_sl2.L, bundle_sl2.L.basis_vector(0))
     assert g.entries[0][1] != 0  # genuinely unipotent, not identity
     assert apply_to_subspace(g, bundle_sl2.S) == bundle_sl2.S
 
 
 def test_exp_rejects_semisimple_elements(sl2):
     with pytest.raises(NotNilpotentError):
-        exp_inner_automorphism(sl2, [0, 1, 0])
+        exp_left_multiplication(sl2, [0, 1, 0])
 
 
 def test_exp_is_an_automorphism_and_fixes_kernel(bundle_sl2):
@@ -118,7 +118,7 @@ def test_exp_is_an_automorphism_and_fixes_kernel(bundle_sl2):
     rng = random.Random(17)
     kern = leibniz_kernel(alg)
     for index in (0, 2, 3):
-        g = exp_inner_automorphism(alg, alg.basis_vector(index))
+        g = exp_left_multiplication(alg, alg.basis_vector(index))
         for _ in range(5):
             u = rational_vector(rng, 6)
             v = rational_vector(rng, 6)
@@ -219,7 +219,7 @@ def test_words_of_exponentials_fix_s(bundle_sl2):
     exps = []
     for i in range(6):
         try:
-            exps.append(exp_inner_automorphism(alg, alg.basis_vector(i)))
+            exps.append(exp_left_multiplication(alg, alg.basis_vector(i)))
         except NotNilpotentError:
             continue
     assert len(exps) == 5  # e, f and the three zero maps from the kernel block

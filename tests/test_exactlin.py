@@ -13,7 +13,6 @@ from leibnizalg.exactlin import (
     NotNilpotentError,
     as_vector,
     exp_nilpotent,
-    kernel_basis,
     solve_affine,
     subspace_sum,
 )
@@ -21,6 +20,12 @@ from leibnizalg.exactlin import (
 F = Fraction
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def null_space(m: Matrix) -> Subspace:
+    """The null space of m: the kernel ``solve_affine`` returns with a zero
+    right-hand side."""
+    return solve_affine(m, (F(0),) * m.rows)[1]
 
 
 def matrices(max_rows=4, max_cols=4):
@@ -112,7 +117,7 @@ def oracle_solve(m: Matrix, b):
 
 
 def check_against_oracles(m: Matrix, b) -> None:
-    """rref, Subspace, kernel_basis and solve_affine against the
+    """rref, Subspace, the null space and solve_affine against the
     Gauss-Jordan oracle, and against sympy."""
     reduced, pivots, rank = rref(m)
     want_rows, want_pivots = oracle_rref(m)
@@ -129,7 +134,7 @@ def check_against_oracles(m: Matrix, b) -> None:
     assert span.rows() == oracle_basis(m.entries)
     assert span.pivots == pivots
 
-    kern = kernel_basis(m)
+    kern = null_space(m)
     assert kern.rows() == oracle_kernel(m)
     assert kern == Subspace(m.cols, [from_sympy(v) for v in sym.nullspace()])
 
@@ -205,7 +210,7 @@ def test_kernel_matches_oracles_on_40_bit_entries(m, data):
 ], ids=["0x0", "0x3", "2x0"])
 def test_kernel_on_empty_shapes(m):
     check_against_oracles(m, (F(0),) * m.rows)
-    assert kernel_basis(m) == Subspace.full(m.cols)
+    assert null_space(m) == Subspace.full(m.cols)
     assert Subspace(m.cols, m.entries) == Subspace.zero(m.cols)
 
 
@@ -360,6 +365,30 @@ def test_apply_rejects_a_vector_of_the_wrong_length():
             Matrix(rows, cols, entries)
 
 
+def test_dense_constructor_coerces_each_row():
+    """``Matrix(rows, cols, entries)`` coerces each row with ``as_vector``,
+    as ``from_rows`` does through it: a float is refused when the matrix is
+    built, and exact strings become Fractions."""
+    with pytest.raises(TypeError, match=r"^not an exact rational: 1\.5$"):
+        Matrix(1, 2, (("0", 1.5),))
+    with pytest.raises(TypeError, match=r"^not an exact rational: 1\.5$"):
+        Matrix.from_rows([["0", 1.5]])
+    m, built = Matrix(1, 2, (("1/2", 0),)), Matrix.from_rows([["1/2", 0]])
+    assert m.entries == ((F(1, 2), F(0)),) and m.nonzero == (((0, F(1, 2)),),)
+    assert m == built and hash(m) == hash(built) and repr(m) == repr(built)
+    assert Matrix(1, 1, (("0",),)).is_zero()
+    assert rref(m) == (Matrix.from_rows([[1, 0]]), (0,), 1)
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_column_checks_its_range(j):
+    """-1 used to return the last column."""
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    assert m.column(1) == (F(2), F(4))
+    with pytest.raises(IndexError, match=rf"^column {j} out of range$"):
+        m.column(j)
+
+
 # --- as_vector ------------------------------------------------------------
 
 def test_as_vector_returns_an_exact_tuple_unchanged():
@@ -418,15 +447,15 @@ def test_rref_matches_sympy(m):
 # --- kernel -------------------------------------------------------------
 
 def test_kernel_zero_map_is_everything():
-    assert kernel_basis(Matrix.zeros(2, 2)) == Subspace.full(2)
+    assert null_space(Matrix.zeros(2, 2)) == Subspace.full(2)
 
 
 def test_kernel_identity_is_zero():
-    assert kernel_basis(Matrix.identity(3)) == Subspace.zero(3)
+    assert null_space(Matrix.identity(3)) == Subspace.zero(3)
 
 
 def test_kernel_line():
-    kern = kernel_basis(Matrix.from_rows([[1, 1]]))
+    kern = null_space(Matrix.from_rows([[1, 1]]))
     assert kern == Subspace(2, [[1, -1]])
     m = Matrix.from_rows([[1, 1]])
     for v in kern.rows():
@@ -436,7 +465,7 @@ def test_kernel_line():
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_annihilates_and_has_complementary_dim(m):
-    kern = kernel_basis(m)
+    kern = null_space(m)
     _, _, rank = rref(m)
     assert kern.dim == m.cols - rank
     for v in kern.rows():

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from leibnizalg import (
     LeibnizAlgebra,
@@ -21,6 +21,8 @@ from leibnizalg import (
     leibniz_kernel,
     leibniz_levi,
     lie_levi,
+    non_conjugacy_certificate,
+    product,
     soluble_radical,
     verify_levi,
 )
@@ -436,6 +438,49 @@ def test_generated_algebras_split(known):
     assert leibniz_levi(alg).semisimple_part == dec.semisimple_part
     if known.lie and not known.square:
         assert lie_levi(alg) == dec.semisimple_part
+
+
+@settings(max_examples=50, deadline=None)
+@given(leibniz_algebras())
+def test_generated_complement_families_have_the_predicted_dimensions(known):
+    """Without t.t = z: the abelian step's null space has dimension d and
+    the inner moves r -> (s -> r.s) have rank b, as ``KnownAlgebra``
+    predicts.  With zero right action every complement is invariant
+    under every left multiplication, so the returned one is certified
+    against itself moved along a null-space direction."""
+    assume(not known.square)
+    alg = known.alg
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        solve = levi.solve_affine
+        mp.setattr(levi, "solve_affine", lambda a, b: solves.append(solve(a, b)) or solves[-1])
+        dec = leibniz_levi(alg)
+    [(alpha, null)] = solves
+    assert null.dim == known.d
+    s, rad = dec.semisimple_part, dec.radical
+    moves = [[x for row in s.rows() for x in product(alg, r, row)] for r in rad.rows()]
+    assert Subspace(alg.dim * s.dim, moves).dim == known.b
+    if known.lie or known.d == 0:
+        return
+
+    def graph(coeffs):
+        # the span of b_f + sum_m coeffs[i*r + m] w_m over the radical's
+        # free columns f, the i-th one at i, with w_m its RREF rows and
+        # r = rad.dim: the complement that the solve's unknowns describe
+        rows = []
+        free = [c for c in range(alg.dim) if c not in rad.pivots]
+        for i, f in enumerate(free):
+            v = list(alg.basis_vector(f))
+            for a, w in zip(coeffs[i * rad.dim:], rad.rows()):
+                v = [x + a * y for x, y in zip(v, w)]
+            rows.append(v)
+        return Subspace(alg.dim, rows)
+
+    assert graph(alpha) == s
+    moved = graph([a + v for a, v in zip(alpha, null.rows()[0])])
+    cert = non_conjugacy_certificate(alg, s, moved)
+    assert cert.S1 == moved != s
+    assert all(r.passed for r in cert.invariance_rows)
 
 
 def test_sl4_bundle_splits_within_budget(bundle_sl4):
