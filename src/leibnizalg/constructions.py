@@ -18,8 +18,10 @@ from .algebra import (
 from .exactlin import (
     Matrix,
     Subspace,
+    _echelon,
+    _fraction_entries,
+    _integer_rows,
     as_scalar,
-    solve_affine,
 )
 from .levi import verify_levi
 from .structure import leibniz_kernel
@@ -67,68 +69,46 @@ class CounterexampleBundle(NamedTuple):
 
 
 def _table_from_matrices(mats: list[Matrix]) -> StructureTable:
-    """Structure constants of a matrix Lie algebra spanned by ``mats``,
-    with the commutator as product.
+    """Structure constants of the matrix Lie algebra spanned by ``mats``
+    (square, of one size, linearly independent) under the commutator.
 
-    The generators, flattened row by row, are the columns of F; they must
-    be linearly independent.  Row t of a left inverse G of F solves
-    F^T g = e_t, one ``solve_affine`` per generator.  Each bracket is
-    formed from the generators' nonzero entries, checked to lie in their
-    span, and read off as G times the flattened bracket.
+    With F_t generator t flattened row by row, one elimination of the rows
+    [F_t | e_t] gives [E | G], E = RREF(F) and G F = E; a pivot in the
+    e-block means the generators are dependent.  A bracket B, formed from
+    the nonzero entries, lies in the span exactly when B = sum_r B[p_r] E_r
+    over the pivots p_r of E; its coordinates are then sum_r B[p_r] G_r.
     """
-    n = len(mats)
     size = mats[0].rows
-    flat = [tuple(x for row in m.entries for x in row) for m in mats]
-    span = Subspace(size * size, flat)
-    if span.dim != n:
+    if any((m.rows, m.cols) != (size, size) for m in mats):
+        raise ValueError("generators must be square matrices of one size")
+    width = size * size
+    echelon = _echelon(_integer_rows(
+        [(i * size + j, x) for i, row in enumerate(m.nonzero) for j, x in row]
+        + [(width + t, _ONE)] for t, m in enumerate(mats)))
+    if echelon[-1][0] >= width:
         raise ValueError("the generators are linearly dependent")
-    flat_rows = Matrix(n, size * size, tuple(flat))
-    left_inverse = Matrix(n, size * size, tuple(
-        solve_affine(flat_rows, [_ONE if s == t else _ZERO for s in range(n)])[0]
-        for t in range(n)
-    ))
+    reduced = {p: row for (p, _, _), row in zip(echelon, _fraction_entries(echelon))}
+
+    def flat_product(u: Matrix, v: Matrix) -> list[tuple[int, Fraction]]:
+        return [(i * size + j, x * y) for i, row in enumerate(u.nonzero)
+                for k, x in row for j, y in v.nonzero[k]]
+
     products = {}
     for s, a in enumerate(mats):
         for t, b in enumerate(mats):
-            acc = [_ZERO] * (size * size)
-            for i in range(size):
-                for k, x in a.nonzero[i]:
-                    for j, y in b.nonzero[k]:
-                        acc[i * size + j] += x * y
-                for k, y in b.nonzero[i]:
-                    for j, x in a.nonzero[k]:
-                        acc[i * size + j] -= y * x
-            bracket = tuple(acc)
-            if not span.contains(bracket):
+            # acc = B - sum_r B[p_r] [E_r | G_r]: zero below ``width``
+            # exactly when B is in the span, minus B's coordinates above
+            acc: dict[int, Fraction] = {}
+            for c, x in flat_product(a, b) + [(c, -x) for c, x in flat_product(b, a)]:
+                acc[c] = acc.get(c, _ZERO) + x
+            for p, x in list(acc.items()):
+                if x and p in reduced:
+                    for c, v in reduced[p]:
+                        acc[c] = acc.get(c, _ZERO) - x * v
+            if any(x for c, x in acc.items() if c < width):
                 raise ValueError("bracket escapes the span of the generators")
-            products[(s, t)] = dict(enumerate(left_inverse.apply(bracket)))
-    return StructureTable.from_map(n, products)
-
-
-def _sl2() -> LeibnizAlgebra:
-    # basis (e, h, f): h.e = 2e, h.f = -2f, e.f = h, antisymmetric
-    table = StructureTable.from_map(3, {
-        (0, 1): {0: -2},
-        (1, 0): {0: 2},
-        (0, 2): {1: 1},
-        (2, 0): {1: -1},
-        (1, 2): {2: -2},
-        (2, 1): {2: 2},
-    })
-    return LeibnizAlgebra(table, labels=("e", "h", "f"))
-
-
-def _so3() -> LeibnizAlgebra:
-    # basis (x, y, z): x.y = z cyclically, antisymmetric
-    table = StructureTable.from_map(3, {
-        (0, 1): {2: 1},
-        (1, 0): {2: -1},
-        (1, 2): {0: 1},
-        (2, 1): {0: -1},
-        (2, 0): {1: 1},
-        (0, 2): {1: -1},
-    })
-    return LeibnizAlgebra(table, labels=("x", "y", "z"))
+            products[(s, t)] = {c - width: -x for c, x in acc.items() if c >= width}
+    return StructureTable.from_map(len(mats), products)
 
 
 def _sln_generators(n: int) -> dict[str, Matrix]:
@@ -146,30 +126,40 @@ def _sln_generators(n: int) -> dict[str, Matrix]:
     return gens
 
 
-def _sln(n: int) -> LeibnizAlgebra:
-    gens = _sln_generators(n)
+def _matrix_algebra(gens: dict[str, Matrix]) -> LeibnizAlgebra:
+    """The matrix Lie algebra spanned by ``gens``, labelled by their keys."""
     return LeibnizAlgebra(_table_from_matrices(list(gens.values())), labels=tuple(gens))
 
 
-# The catalog stops at sl5, whose bundle has dim 48.  ``_sln(n)`` builds
-# larger ones: ``leibniz_levi`` takes about 0.5 s and a 32 MB process
-# peak on the sl6 bundle, and 3 s and 85 MB on the sl8 bundle (README
-# "Cost").
-_BUILDERS = {
-    "sl2": _sl2,
-    "sl3": partial(_sln, 3),
-    "sl4": partial(_sln, 4),
-    "sl5": partial(_sln, 5),
-    "so3": _so3,
+def _sln(n: int) -> LeibnizAlgebra:
+    return _matrix_algebra(_sln_generators(n))
+
+
+def _generators(**grids: list[list[int]]) -> dict[str, Matrix]:
+    return {label: Matrix.from_rows(rows) for label, rows in grids.items()}
+
+
+# The one builder above makes every catalog algebra from its generators:
+# sl2 on (e, h, f), so3 on (x, y, z) with x.y = z cyclically.  The catalog
+# stops at sl5 (bundle dim 48); ``_sln(6)`` and ``_sln(8)`` give bundles
+# that ``leibniz_levi`` splits in about 0.5 s / 32 MB and 3 s / 85 MB.
+_GENERATORS = {
+    "sl2": partial(_generators, e=[[0, 1], [0, 0]], h=[[1, 0], [0, -1]], f=[[0, 0], [1, 0]]),
+    "sl3": partial(_sln_generators, 3),
+    "sl4": partial(_sln_generators, 4),
+    "sl5": partial(_sln_generators, 5),
+    "so3": partial(_generators, x=[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                   y=[[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                   z=[[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
 }
-CATALOG = tuple(_BUILDERS)
+CATALOG = tuple(_GENERATORS)
 
 
 def simple_algebra(name: str) -> LeibnizAlgebra:
     """The catalog simple Lie algebra of that name (see ``CATALOG``)."""
-    if name not in _BUILDERS:
+    if name not in _GENERATORS:
         raise UnknownAlgebraError(f"unknown algebra {name!r}; catalog: {', '.join(CATALOG)}")
-    return _BUILDERS[name]()
+    return _matrix_algebra(_GENERATORS[name]())
 
 
 def adjoint_module(alg: LeibnizAlgebra) -> ModuleAction:

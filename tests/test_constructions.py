@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from leibnizalg import (
+    LeibnizAlgebra,
     Matrix,
     ModuleAction,
     NotLieError,
@@ -25,6 +26,7 @@ from leibnizalg import (
     split_extension_zero_right,
     verify_levi,
 )
+from leibnizalg import constructions, exactlin
 from leibnizalg.algebra import subspace_product
 from leibnizalg.constructions import _sln_generators, _table_from_matrices
 from leibnizalg.exactlin import solve_affine, subspace_sum
@@ -100,10 +102,11 @@ def test_unknown_name(sl2):
 
 # --- matrix Lie algebras -------------------------------------------------------
 #
-# ``_table_from_matrices`` forms each bracket from the generators' nonzero
-# entries and reads its coordinates with a left inverse found by one solve
-# per generator.  This is the builder it replaced: two dense products and
-# one solve per bracket.  On independent generators the two must agree.
+# ``_table_from_matrices`` eliminates the flattened generators, next to an
+# identity block, once, forms each bracket from the generators' nonzero
+# entries, and reads its coordinates off that one reduced form.  This is
+# the builder it replaced: two dense products and one solve per bracket.
+# On independent generators the two must agree.
 
 def oracle_table_from_matrices(mats):
     n = len(mats)
@@ -159,10 +162,48 @@ def test_matrix_algebra_tables_match_the_per_bracket_oracle(mats):
     assert _table_from_matrices(mats) == oracle_table_from_matrices(mats)
 
 
-def test_matrix_algebra_tables_of_the_catalog(sl2, so3):
-    """The catalog writes sl2 and so3 out by hand."""
-    assert _table_from_matrices(SL2_MATRICES) == sl2.table
-    assert _table_from_matrices(SO3_MATRICES) == so3.table
+# sl2 on (e, h, f): h.e = 2e, h.f = -2f, e.f = h; so3 on (x, y, z): x.y = z
+# cyclically; both antisymmetric
+SL2_BY_HAND = LeibnizAlgebra(StructureTable.from_map(3, {
+    (0, 1): {0: -2}, (1, 0): {0: 2},
+    (0, 2): {1: 1}, (2, 0): {1: -1},
+    (1, 2): {2: -2}, (2, 1): {2: 2},
+}), labels=("e", "h", "f"))
+SO3_BY_HAND = LeibnizAlgebra(StructureTable.from_map(3, {
+    (0, 1): {2: 1}, (1, 0): {2: -1},
+    (1, 2): {0: 1}, (2, 1): {0: -1},
+    (2, 0): {1: 1}, (0, 2): {1: -1},
+}), labels=("x", "y", "z"))
+
+
+def test_matrix_algebra_tables_of_the_catalog():
+    """The catalog builds sl2 and so3 from their matrices; the tables
+    written out by hand, labels included (``==`` compares them), are an
+    oracle that shares nothing with the builder."""
+    assert simple_algebra("sl2") == SL2_BY_HAND
+    assert simple_algebra("so3") == SO3_BY_HAND
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_matrix_algebra_tables_take_one_elimination(monkeypatch, n):
+    """One elimination of [F | I], and no solve, whatever the size."""
+    calls = {"_echelon": 0, "solve_affine": 0}
+
+    def counted(name):
+        inner = getattr(exactlin, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(exactlin, name, spy)
+        for attr, value in vars(constructions).items():
+            if value is inner:
+                monkeypatch.setattr(constructions, attr, spy)
+
+    counted("_echelon")
+    counted("solve_affine")
+    _table_from_matrices(list(_sln_generators(n).values()))
+    assert calls == {"_echelon": 1, "solve_affine": 0}
 
 
 def test_dependent_generators_are_rejected():
@@ -175,6 +216,17 @@ def test_bracket_outside_the_span_is_rejected():
     e, _, f = SL2_MATRICES
     with pytest.raises(ValueError, match="escapes the span"):
         _table_from_matrices([e, f])
+
+
+@pytest.mark.parametrize("mats", [
+    [Matrix.from_rows([[0, 1, 0], [0, 0, 0]])],
+    [Matrix.from_rows([[0, 1], [0, 0], [1, 0]])],
+    [SL2_MATRICES[0], SO3_MATRICES[0]],
+    [SO3_MATRICES[0], SL2_MATRICES[0]],
+], ids=["2x3", "3x2", "2x2-then-3x3", "3x3-then-2x2"])
+def test_generators_of_the_wrong_shape_are_rejected(mats):
+    with pytest.raises(ValueError, match="^generators must be square matrices of one size$"):
+        _table_from_matrices(mats)
 
 
 # --- adjoint module -----------------------------------------------------------

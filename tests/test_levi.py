@@ -15,6 +15,7 @@ from leibnizalg import (
     NotLieError,
     StructureTable,
     Subspace,
+    adjoint_module,
     counterexample,
     diagonal_complement,
     is_lie,
@@ -24,6 +25,7 @@ from leibnizalg import (
     non_conjugacy_certificate,
     product,
     soluble_radical,
+    split_extension_zero_right,
     verify_levi,
 )
 from leibnizalg import levi, structure
@@ -34,8 +36,8 @@ from leibnizalg.algebra import (
     restrict_to_subalgebra,
     subspace_product,
 )
-from leibnizalg.constructions import _table_from_matrices
-from leibnizalg.exactlin import Matrix, subspace_sum
+from leibnizalg.constructions import _sln_generators, _table_from_matrices
+from leibnizalg.exactlin import Matrix, apply_to_subspace, subspace_sum
 from leibnizalg.structure import derived_series, killing_form
 
 from conftest import (
@@ -440,28 +442,30 @@ def test_generated_algebras_split(known):
         assert lie_levi(alg) == dec.semisimple_part
 
 
-@settings(max_examples=50, deadline=None)
-@given(leibniz_algebras())
-def test_generated_complement_families_have_the_predicted_dimensions(known):
-    """Without t.t = z: the abelian step's null space has dimension d and
-    the inner moves r -> (s -> r.s) have rank b, as ``KnownAlgebra``
-    predicts.  With zero right action every complement is invariant
-    under every left multiplication, so the returned one is certified
-    against itself moved along a null-space direction."""
-    assume(not known.square)
-    alg = known.alg
+def spied_levi(alg):
+    """``leibniz_levi(alg)`` with the one abelian step's solve read
+    through a spy: (decomposition, particular solution, null space)."""
     solves = []
     with pytest.MonkeyPatch.context() as mp:
         solve = levi.solve_affine
         mp.setattr(levi, "solve_affine", lambda a, b: solves.append(solve(a, b)) or solves[-1])
         dec = leibniz_levi(alg)
     [(alpha, null)] = solves
-    assert null.dim == known.d
+    return dec, alpha, null
+
+
+def inner_move_rank(alg, dec):
+    """b: the rank of the inner moves r -> (s -> r.s), r in the radical."""
     s, rad = dec.semisimple_part, dec.radical
     moves = [[x for row in s.rows() for x in product(alg, r, row)] for r in rad.rows()]
-    assert Subspace(alg.dim * s.dim, moves).dim == known.b
-    if known.lie or known.d == 0:
-        return
+    return Subspace(alg.dim * s.dim, moves).dim
+
+
+def assert_moved_complement_is_certified(alg, dec, alpha, null):
+    """The returned complement is the one the solve's unknowns describe,
+    and it is certified against itself moved along the first null-space
+    direction."""
+    s, rad = dec.semisimple_part, dec.radical
 
     def graph(coeffs):
         # the span of b_f + sum_m coeffs[i*r + m] w_m over the radical's
@@ -481,6 +485,51 @@ def test_generated_complement_families_have_the_predicted_dimensions(known):
     cert = non_conjugacy_certificate(alg, s, moved)
     assert cert.S1 == moved != s
     assert all(r.passed for r in cert.invariance_rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(leibniz_algebras())
+def test_generated_complement_families_have_the_predicted_dimensions(known):
+    """Without t.t = z: the abelian step's null space has dimension d and
+    the inner moves r -> (s -> r.s) have rank b, as ``KnownAlgebra``
+    predicts.  With zero right action every complement is invariant
+    under every left multiplication, so the returned one is certified
+    against itself moved along a null-space direction."""
+    assume(not known.square)
+    alg = known.alg
+    dec, alpha, null = spied_levi(alg)
+    assert null.dim == known.d
+    assert inner_move_rank(alg, dec) == known.b
+    if not known.lie and known.d > 0:
+        assert_moved_complement_is_certified(alg, dec, alpha, null)
+
+
+@pytest.mark.parametrize("rebased", [False, True], ids=["plain", "rebased"])
+@pytest.mark.parametrize("module, d", [("standard", 0), ("adjoint+standard", 1)])
+def test_sl3_zero_right_complement_families(sl3, module, d, rebased):
+    """sl3 acting with zero right action on Q^3 by its own generators
+    (the standard module, in the catalog's basis order), and on adjoint
+    + standard.  d is the multiplicity of the adjoint module and b = 0.
+    With d = 0 the complement is unique, so it is the S block; with d = 1
+    it is certified against itself moved along the null-space direction.
+    Both hold after a seeded change of basis too."""
+    standard = ModuleAction(8, 3, tuple(_sln_generators(3).values()))
+    action = (standard if module == "standard"
+              else direct_sum_actions(adjoint_module(sl3), standard))
+    alg = split_extension_zero_right(sl3, action)
+    s_block = Subspace(alg.dim, [alg.basis_vector(i) for i in range(8)])
+    if rebased:
+        g = random_invertible(random.Random(5), alg.dim)
+        g_inv = matrix_inverse(g)
+        alg = change_basis(alg, g, g_inv, validate=False)
+        s_block = apply_to_subspace(g_inv, s_block)
+    dec, alpha, null = spied_levi(alg)
+    assert null.dim == d
+    assert inner_move_rank(alg, dec) == 0
+    if d == 0:
+        assert dec.semisimple_part == s_block
+    else:
+        assert_moved_complement_is_certified(alg, dec, alpha, null)
 
 
 def test_sl4_bundle_splits_within_budget(bundle_sl4):
