@@ -22,6 +22,7 @@ from .exactlin import (
     Subspace,
     Vector,
     _echelon,
+    _Immutable,
     _make_primitive,
     _scaled_row,
     as_scalar,
@@ -75,7 +76,7 @@ Pairs = tuple[tuple[int, Fraction], ...]
 IntPairs = tuple[tuple[int, int], ...]
 
 
-class StructureTable:
+class StructureTable(_Immutable):
     """The constants c[i][j][k] of b_i . b_j = sum_k c[i][j][k] b_k.
 
     ``nonzero[i]`` maps each j with b_i . b_j != 0, in increasing j, to
@@ -115,10 +116,6 @@ class StructureTable:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "nonzero", tuple(dict(sorted(p.items())) for p in index))
         object.__setattr__(self, "cache", {})
-
-    def __setattr__(self, *args: object) -> None:
-        raise AttributeError("StructureTable is immutable")
-    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -179,7 +176,7 @@ class StructureTable:
         return _dense_sum(self.dim, [(1, self.nonzero[i].get(j, ()))])
 
 
-class LeibnizAlgebra:
+class LeibnizAlgebra(_Immutable):
     """An algebra over Q with a fixed ordered basis and structure table.
 
     The left Leibniz identity is checked at construction unless
@@ -205,10 +202,6 @@ class LeibnizAlgebra:
             report = check_left_leibniz(self)
             if not report.ok:
                 raise LeibnizIdentityError(report)
-
-    def __setattr__(self, *args: object) -> None:
-        raise AttributeError("LeibnizAlgebra is immutable")
-    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeibnizAlgebra):
@@ -362,10 +355,7 @@ def _scaled_span(table: StructureTable, sums: Iterable[Mapping[int, int]]) -> Su
     rows = []
     for s in sums:
         row = {k: a for k, a in s.items() if a}
-        if len(row) == 1:
-            # a multiple of one basis vector: its primitive form is +-1
-            rows.append({k: 1 if a > 0 else -1 for k, a in row.items()})
-        elif row:
+        if row:
             m = lcm(*[den[k] for k in row])
             if m != 1:
                 for k in row:

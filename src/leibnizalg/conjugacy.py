@@ -25,7 +25,6 @@ from .exactlin import (
     Subspace,
     Vector,
     apply_to_subspace,
-    as_vector,
     exp_nilpotent,
 )
 from .files import algebra_digest
@@ -100,7 +99,7 @@ def is_derivation(alg: LeibnizAlgebra, d: Matrix) -> bool:
 
 def inner_derivation(alg: LeibnizAlgebra, x) -> Matrix:
     """Left multiplication by x; a derivation whenever the algebra is valid."""
-    return left_multiplication(alg, as_vector(x))
+    return left_multiplication(alg, x)
 
 
 def invariance_check(alg: LeibnizAlgebra, u: Subspace) -> InvarianceReport:

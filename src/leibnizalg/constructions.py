@@ -78,9 +78,9 @@ def _table_from_matrices(mats: list[Matrix]) -> StructureTable:
     the nonzero entries, lies in the span exactly when B = sum_r B[p_r] E_r
     over the pivots p_r of E; its coordinates are then sum_r B[p_r] G_r.
     """
-    size = mats[0].rows
-    if any((m.rows, m.cols) != (size, size) for m in mats):
+    if not mats or any((m.rows, m.cols) != (mats[0].rows,) * 2 for m in mats):
         raise ValueError("generators must be square matrices of one size")
+    size = mats[0].rows
     width = size * size
     echelon = _echelon(_integer_rows(
         [(i * size + j, x) for i, row in enumerate(m.nonzero) for j, x in row]
@@ -126,28 +126,17 @@ def _sln_generators(n: int) -> dict[str, Matrix]:
     return gens
 
 
-def _matrix_algebra(gens: dict[str, Matrix]) -> LeibnizAlgebra:
-    """The matrix Lie algebra spanned by ``gens``, labelled by their keys."""
-    return LeibnizAlgebra(_table_from_matrices(list(gens.values())), labels=tuple(gens))
-
-
-def _sln(n: int) -> LeibnizAlgebra:
-    return _matrix_algebra(_sln_generators(n))
-
-
 def _generators(**grids: list[list[int]]) -> dict[str, Matrix]:
     return {label: Matrix.from_rows(rows) for label, rows in grids.items()}
 
 
 # The one builder above makes every catalog algebra from its generators:
-# sl2 on (e, h, f), so3 on (x, y, z) with x.y = z cyclically.  The catalog
-# stops at sl5 (bundle dim 48); ``_sln(6)`` and ``_sln(8)`` give bundles
-# that ``leibniz_levi`` splits in about 0.5 s / 32 MB and 3 s / 85 MB.
+# sl2 on (e, h, f), sl(n) on ``_sln_generators(n)``, so3 on (x, y, z) with
+# x.y = z cyclically.  The catalog stops at sl8: its bundle, of dim
+# 2 * 63 = 126, is the largest that fits in a file (``files.MAX_DIM``).
 _GENERATORS = {
     "sl2": partial(_generators, e=[[0, 1], [0, 0]], h=[[1, 0], [0, -1]], f=[[0, 0], [1, 0]]),
-    "sl3": partial(_sln_generators, 3),
-    "sl4": partial(_sln_generators, 4),
-    "sl5": partial(_sln_generators, 5),
+    **{f"sl{n}": partial(_sln_generators, n) for n in range(3, 9)},
     "so3": partial(_generators, x=[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
                    y=[[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
                    z=[[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
@@ -159,7 +148,8 @@ def simple_algebra(name: str) -> LeibnizAlgebra:
     """The catalog simple Lie algebra of that name (see ``CATALOG``)."""
     if name not in _GENERATORS:
         raise UnknownAlgebraError(f"unknown algebra {name!r}; catalog: {', '.join(CATALOG)}")
-    return _matrix_algebra(_GENERATORS[name]())
+    gens = _GENERATORS[name]()
+    return LeibnizAlgebra(_table_from_matrices(list(gens.values())), labels=tuple(gens))
 
 
 def adjoint_module(alg: LeibnizAlgebra) -> ModuleAction:

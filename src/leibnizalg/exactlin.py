@@ -78,7 +78,19 @@ def vec_scale(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-class Matrix:
+class _Immutable:
+    """Base of the library's value types: fields are set once, through
+    ``object.__setattr__``, and assigning or deleting one afterwards
+    raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+
+class Matrix(_Immutable):
     """Immutable rows x cols matrix of rationals.  As a linear map it acts
     on column vectors: column j is the image of the j-th basis vector.
 
@@ -110,10 +122,6 @@ class Matrix:
         m = Matrix.__new__(Matrix)
         m._set(rows, cols, tuple(tuple(sorted((j, x) for j, x in row if x)) for row in pairs))
         return m
-
-    def __setattr__(self, *args: object) -> None:
-        raise AttributeError("Matrix is immutable")
-    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -336,7 +344,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return reduced, tuple(p for p, _, _ in echelon), len(echelon)
 
 
-class Subspace:
+class Subspace(_Immutable):
     """A subspace of Q^n held by its canonical RREF basis.
 
     The basis rows are the reduced row echelon form of any spanning set,
@@ -364,14 +372,6 @@ class Subspace:
         sub = Subspace.__new__(Subspace)
         sub._set(ambient_dim, echelon)
         return sub
-
-    def __setattr__(self, *args: object) -> None:
-        raise AttributeError("Subspace is immutable")
-    __delattr__ = __setattr__
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim)
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":

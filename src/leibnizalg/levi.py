@@ -170,7 +170,7 @@ def _split(alg: LeibnizAlgebra) -> Subspace:
     if rad.is_zero():
         return Subspace.full(alg.dim)
     if rad.is_full():
-        return Subspace.zero(alg.dim)
+        return Subspace(alg.dim)
     rad_sq = subspace_product(alg, rad, rad)
     if rad_sq.is_zero():
         return _abelian_complement(alg, rad)

@@ -114,8 +114,6 @@ def soluble_radical(alg: LeibnizAlgebra) -> Subspace:
     and pull it back with ``embed_rows`` over the quotient's lifts.
     """
     kern = leibniz_kernel(alg)
-    if kern.is_full():
-        return kern
     qalg, lifts = quotient(alg, kern)
     return subspace_sum(embed_rows(lifts, _lie_radical(qalg).rows()), kern)
 

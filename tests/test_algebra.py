@@ -534,7 +534,7 @@ def test_coprime_denominators_keep_the_radical(coprime_bundle, bundle_sl2):
 
 
 def test_zero_subspace_is_everything(sl2):
-    zero = Subspace.zero(3)
+    zero = Subspace(3)
     assert restrict_to_subalgebra(sl2, zero).dim == 0
     assert is_ideal(sl2, zero)
 
@@ -578,9 +578,9 @@ def assert_quotient_matches_projection(alg, ideal):
 
 
 def test_quotient_by_zero_is_a_copy(sl2):
-    qalg, _ = quotient(sl2, Subspace.zero(3))
+    qalg, _ = quotient(sl2, Subspace(3))
     assert qalg.table == sl2.table
-    assert_quotient_matches_projection(sl2, Subspace.zero(3))
+    assert_quotient_matches_projection(sl2, Subspace(3))
 
 
 def test_bundle_modulo_kernel_looks_like_sl2(bundle_sl2, sl2):
@@ -623,6 +623,6 @@ def test_quotients_and_restrictions_satisfy_the_identity(zoo):
             qalg, _ = quotient(alg, ideal)
             assert check_left_leibniz(qalg).ok, name
             assert_index_matches_tensor(qalg.table)
-        for sub in (rad, Subspace.full(alg.dim), Subspace.zero(alg.dim)):
+        for sub in (rad, Subspace.full(alg.dim), Subspace(alg.dim)):
             restricted = restrict_to_subalgebra(alg, sub)
             assert check_left_leibniz(restricted).ok, name

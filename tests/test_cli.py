@@ -353,7 +353,8 @@ def test_levi_inconsistent_solve_is_reported(capsys, monkeypatch, bundle_files):
 
 
 def test_levi_out_of_memory_is_reported(capsys, monkeypatch, bundle_files):
-    # a splitter that runs out of memory, as the dim-126 sl8 bundle's can
+    # a splitter that runs out of memory, as the dense one did on the
+    # dim-126 sl8 bundle; the sparse one splits it in about 80 MB
     def exhausted(alg):
         raise MemoryError
     monkeypatch.setattr(cli, "leibniz_levi", exhausted)
@@ -447,7 +448,7 @@ def test_example_unknown_name(capsys, tmp_path):
     assert code == 2
     assert json.loads(out)["checks"] == [{
         "name": "usable_input", "passed": False,
-        "witness": "unknown algebra 'e8'; catalog: sl2, sl3, sl4, sl5, so3",
+        "witness": "unknown algebra 'e8'; catalog: sl2, sl3, sl4, sl5, sl6, sl7, sl8, so3",
     }]
 
 

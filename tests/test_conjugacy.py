@@ -14,6 +14,7 @@ from leibnizalg import (
     Matrix,
     NotAComplementError,
     Subspace,
+    diagonal_complement,
     inner_derivation,
     invariance_check,
     is_derivation,
@@ -180,6 +181,21 @@ def test_sl3_certificate(bundle_sl3):
     assert len(cert.invariance_rows) == 16
     assert all(r.passed for r in cert.invariance_rows)
     assert all(c.passed for c in cert.exp_checks)
+
+
+@pytest.mark.parametrize("name", ["bundle_sl2", "bundle_so3", "bundle_sl3"])
+def test_every_pair_of_diagonal_complements_is_certified(request, name):
+    """With zero right action every complement is invariant under every
+    left multiplication, so every ordered pair of distinct diagonals, at
+    lambda = 0, 1, 2 and -2/3, gets a certificate with every exponential
+    check passing."""
+    bundle = request.getfixturevalue(name)
+    diagonals = [diagonal_complement(bundle, lam) for lam in (0, 1, 2, F(-2, 3))]
+    for s, s1 in itertools.permutations(diagonals, 2):
+        cert = non_conjugacy_certificate(bundle.L, s, s1)
+        assert (cert.S, cert.S1) == (s, s1)
+        assert all(r.passed for r in cert.invariance_rows)
+        assert cert.exp_checks and all(c.passed for c in cert.exp_checks)
 
 
 def test_one_left_multiplication_per_basis_element(monkeypatch, bundle_sl3):

@@ -30,6 +30,7 @@ from leibnizalg import constructions, exactlin
 from leibnizalg.algebra import subspace_product
 from leibnizalg.constructions import _sln_generators, _table_from_matrices
 from leibnizalg.exactlin import solve_affine, subspace_sum
+from leibnizalg.files import MAX_DIM
 from leibnizalg.structure import is_semisimple
 
 from conftest import module_law_report, random_invertible, trivial_action
@@ -94,9 +95,22 @@ def test_sln_entry(n):
     assert sln.table == oracle_table_from_matrices(list(gens.values()))
 
 
+def test_catalog_bundles_fit_in_a_file():
+    """The catalog stops where ``example`` would write a bundle, of twice
+    the algebra's dimension, that the file reader refuses; counted from
+    the generators, without building a table."""
+    assert constructions.CATALOG == (
+        "sl2", "sl3", "sl4", "sl5", "sl6", "sl7", "sl8", "so3")
+    dims = {name: 2 * len(constructions._GENERATORS[name]())
+            for name in constructions.CATALOG}
+    assert dims == {"sl2": 6, "sl3": 16, "sl4": 30, "sl5": 48, "sl6": 70,
+                    "sl7": 96, "sl8": 126, "so3": 6}
+    assert max(dims.values()) <= MAX_DIM < 2 * (9 * 9 - 1)
+
+
 def test_unknown_name(sl2):
     with pytest.raises(UnknownAlgebraError,
-                       match=r"^unknown algebra 'e8'; catalog: sl2, sl3, sl4, sl5, so3$"):
+                       match=r"^unknown algebra 'e8'; catalog: sl2, sl3, sl4, sl5, sl6, sl7, sl8, so3$"):
         simple_algebra("e8")
 
 
@@ -219,11 +233,12 @@ def test_bracket_outside_the_span_is_rejected():
 
 
 @pytest.mark.parametrize("mats", [
+    [],
     [Matrix.from_rows([[0, 1, 0], [0, 0, 0]])],
     [Matrix.from_rows([[0, 1], [0, 0], [1, 0]])],
     [SL2_MATRICES[0], SO3_MATRICES[0]],
     [SO3_MATRICES[0], SL2_MATRICES[0]],
-], ids=["2x3", "3x2", "2x2-then-3x3", "3x3-then-2x2"])
+], ids=["none", "2x3", "3x2", "2x2-then-3x3", "3x3-then-2x2"])
 def test_generators_of_the_wrong_shape_are_rejected(mats):
     with pytest.raises(ValueError, match="^generators must be square matrices of one size$"):
         _table_from_matrices(mats)

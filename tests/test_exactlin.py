@@ -211,7 +211,7 @@ def test_kernel_matches_oracles_on_40_bit_entries(m, data):
 def test_kernel_on_empty_shapes(m):
     check_against_oracles(m, (F(0),) * m.rows)
     assert null_space(m) == Subspace.full(m.cols)
-    assert Subspace(m.cols, m.entries) == Subspace.zero(m.cols)
+    assert Subspace(m.cols, m.entries) == Subspace(m.cols)
 
 
 def test_inconsistent_zero_column_system():
@@ -228,7 +228,7 @@ def test_hilbert_8():
     x, hom = solve_affine(h, b)
     assert x == from_sympy(to_sympy(h).LUsolve(sympy.Matrix(
         [sympy.Rational(v.numerator, v.denominator) for v in b])))
-    assert hom == Subspace.zero(n)
+    assert hom == Subspace(n)
 
 
 def test_particular_solution_sets_free_variables_to_zero():
@@ -451,7 +451,7 @@ def test_kernel_zero_map_is_everything():
 
 
 def test_kernel_identity_is_zero():
-    assert null_space(Matrix.identity(3)) == Subspace.zero(3)
+    assert null_space(Matrix.identity(3)) == Subspace(3)
 
 
 def test_kernel_line():
@@ -484,7 +484,7 @@ def test_kernel_annihilates_and_has_complementary_dim(m):
 def test_solve_identity():
     x, hom = solve_affine(Matrix.identity(2), [1, 2])
     assert x == (F(1), F(2))
-    assert hom == Subspace.zero(2)
+    assert hom == Subspace(2)
 
 
 def test_solve_underdetermined_free_vars_zero():

@@ -1,6 +1,7 @@
 """The splitting recursion: Lie Levi complements, the correction solve
 over an abelian ideal, and the verified Leibniz decomposition."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -80,7 +81,7 @@ def test_semidirect_with_adjoint_like_module(sl2):
 
 
 def test_soluble_lie_input_gets_zero(heisenberg):
-    assert lie_levi(heisenberg) == Subspace.zero(3)
+    assert lie_levi(heisenberg) == Subspace(3)
 
 
 def test_non_lie_rejected(bundle_sl2):
@@ -170,8 +171,8 @@ def test_zero_subspace_complement_is_everything(sl2):
 def test_full_subspace_complement_is_zero(bundle_sl2):
     # the module block is an abelian algebra on its own: all radical
     block = restrict_to_subalgebra(bundle_sl2.L, bundle_sl2.K)
-    assert levi._split(block) == Subspace.zero(3)
-    assert leibniz_levi(block).semisimple_part == Subspace.zero(3)
+    assert levi._split(block) == Subspace(3)
+    assert leibniz_levi(block).semisimple_part == Subspace(3)
 
 
 def test_indecomposable_module_has_no_complement(heisenberg):
@@ -223,7 +224,7 @@ def test_bundle_complement_properties(bundle_sl2):
 
 def test_soluble_algebra_splits_trivially(square_algebra):
     dec = leibniz_levi(square_algebra)
-    assert dec.semisimple_part == Subspace.zero(2)
+    assert dec.semisimple_part == Subspace(2)
     assert dec.radical == Subspace.full(2)
     assert dec.witnesses.all_pass
 
@@ -240,7 +241,7 @@ def test_bundle_decomposition(bundle_sl2):
 def test_semisimple_input(sl2):
     dec = leibniz_levi(sl2)
     assert dec.semisimple_part == Subspace.full(3)
-    assert dec.radical == Subspace.zero(3)
+    assert dec.radical == Subspace(3)
     assert dec.witnesses.all_pass
 
 
@@ -461,27 +462,27 @@ def inner_move_rank(alg, dec):
     return Subspace(alg.dim * s.dim, moves).dim
 
 
+def complement_graph(alg, rad, coeffs):
+    """The complement that the solve's unknowns ``coeffs`` describe: the
+    span of b_f + sum_m coeffs[i*r + m] w_m over the radical's free
+    columns f, the i-th one at i, with w_m its RREF rows and r = rad.dim."""
+    rows = []
+    free = [c for c in range(alg.dim) if c not in rad.pivots]
+    for i, f in enumerate(free):
+        v = list(alg.basis_vector(f))
+        for a, w in zip(coeffs[i * rad.dim:], rad.rows()):
+            v = [x + a * y for x, y in zip(v, w)]
+        rows.append(v)
+    return Subspace(alg.dim, rows)
+
+
 def assert_moved_complement_is_certified(alg, dec, alpha, null):
     """The returned complement is the one the solve's unknowns describe,
     and it is certified against itself moved along the first null-space
     direction."""
     s, rad = dec.semisimple_part, dec.radical
-
-    def graph(coeffs):
-        # the span of b_f + sum_m coeffs[i*r + m] w_m over the radical's
-        # free columns f, the i-th one at i, with w_m its RREF rows and
-        # r = rad.dim: the complement that the solve's unknowns describe
-        rows = []
-        free = [c for c in range(alg.dim) if c not in rad.pivots]
-        for i, f in enumerate(free):
-            v = list(alg.basis_vector(f))
-            for a, w in zip(coeffs[i * rad.dim:], rad.rows()):
-                v = [x + a * y for x, y in zip(v, w)]
-            rows.append(v)
-        return Subspace(alg.dim, rows)
-
-    assert graph(alpha) == s
-    moved = graph([a + v for a, v in zip(alpha, null.rows()[0])])
+    assert complement_graph(alg, rad, alpha) == s
+    moved = complement_graph(alg, rad, [a + v for a, v in zip(alpha, null.rows()[0])])
     cert = non_conjugacy_certificate(alg, s, moved)
     assert cert.S1 == moved != s
     assert all(r.passed for r in cert.invariance_rows)
@@ -504,6 +505,16 @@ def test_generated_complement_families_have_the_predicted_dimensions(known):
         assert_moved_complement_is_certified(alg, dec, alpha, null)
 
 
+def sl3_zero_right(sl3, module):
+    """sl3 acting with zero right action on Q^3 by its own generators (the
+    standard module, in the catalog's basis order), or on adjoint +
+    standard."""
+    standard = ModuleAction(8, 3, tuple(_sln_generators(3).values()))
+    action = (standard if module == "standard"
+              else direct_sum_actions(adjoint_module(sl3), standard))
+    return split_extension_zero_right(sl3, action)
+
+
 @pytest.mark.parametrize("rebased", [False, True], ids=["plain", "rebased"])
 @pytest.mark.parametrize("module, d", [("standard", 0), ("adjoint+standard", 1)])
 def test_sl3_zero_right_complement_families(sl3, module, d, rebased):
@@ -513,10 +524,7 @@ def test_sl3_zero_right_complement_families(sl3, module, d, rebased):
     With d = 0 the complement is unique, so it is the S block; with d = 1
     it is certified against itself moved along the null-space direction.
     Both hold after a seeded change of basis too."""
-    standard = ModuleAction(8, 3, tuple(_sln_generators(3).values()))
-    action = (standard if module == "standard"
-              else direct_sum_actions(adjoint_module(sl3), standard))
-    alg = split_extension_zero_right(sl3, action)
+    alg = sl3_zero_right(sl3, module)
     s_block = Subspace(alg.dim, [alg.basis_vector(i) for i in range(8)])
     if rebased:
         g = random_invertible(random.Random(5), alg.dim)
@@ -530,6 +538,25 @@ def test_sl3_zero_right_complement_families(sl3, module, d, rebased):
         assert dec.semisimple_part == s_block
     else:
         assert_moved_complement_is_certified(alg, dec, alpha, null)
+
+
+def test_sl3_adjoint_plus_standard_family_is_pairwise_certified(sl3):
+    """Three members of the one-parameter complement family of sl3 on
+    adjoint + standard, the returned complement moved by 0, 1 and -2/3
+    times the null-space direction: with zero right action each is
+    invariant under every left multiplication, so every ordered pair of
+    them gets a certificate with every exponential check passing."""
+    alg = sl3_zero_right(sl3, "adjoint+standard")
+    dec, alpha, null = spied_levi(alg)
+    [direction] = null.rows()
+    family = [complement_graph(alg, dec.radical, [a + t * v for a, v in zip(alpha, direction)])
+              for t in (0, 1, F(-2, 3))]
+    assert family[0] == dec.semisimple_part and len(set(family)) == 3
+    for s, s1 in itertools.permutations(family, 2):
+        cert = non_conjugacy_certificate(alg, s, s1)
+        assert (cert.S, cert.S1) == (s, s1)
+        assert all(r.passed for r in cert.invariance_rows)
+        assert cert.exp_checks and all(c.passed for c in cert.exp_checks)
 
 
 def test_sl4_bundle_splits_within_budget(bundle_sl4):
@@ -562,10 +589,10 @@ def test_sl5_bundle_builds_and_splits_within_budget():
 
 
 def test_failed_witness_raises_with_the_witnesses(monkeypatch, bundle_sl2):
-    monkeypatch.setattr(levi, "_split", lambda alg: Subspace.zero(alg.dim))
+    monkeypatch.setattr(levi, "_split", lambda alg: Subspace(alg.dim))
     with pytest.raises(levi.LeviVerificationError) as info:
         leibniz_levi(bundle_sl2.L)
-    assert info.value.complement == Subspace.zero(6)
+    assert info.value.complement == Subspace(6)
     assert not info.value.witnesses.sum_is_full
     assert info.value.witnesses.intersection_is_zero
 
@@ -603,7 +630,7 @@ BUNDLE_SUBSPACES = {
     "K": lambda b: b.K,
     "diagonal_2": lambda b: diagonal_complement(b, 2),
     "diagonal_-1/2": lambda b: diagonal_complement(b, F(-1, 2)),
-    "zero": lambda b: Subspace.zero(6),
+    "zero": lambda b: Subspace(6),
     "full": lambda b: Subspace.full(6),
     "e": lambda b: Subspace(6, [[1, 0, 0, 0, 0, 0]]),
     "e_f": lambda b: Subspace(6, [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),  # e.f = h
@@ -633,7 +660,7 @@ def test_restriction_rejects_non_subalgebras_and_wrong_dimensions(bundle_sl2):
     with pytest.raises(NotASubalgebraError,
                        match="restriction to a subspace that is not a subalgebra"):
         restrict_to_subalgebra(alg, BUNDLE_SUBSPACES["e_f"](bundle_sl2))
-    for u in (Subspace.zero(5), Subspace.full(3), Subspace(7, [[1, 0, 0, 0, 0, 0, 0]])):
+    for u in (Subspace(5), Subspace.full(3), Subspace(7, [[1, 0, 0, 0, 0, 0, 0]])):
         with pytest.raises(ValueError,
                            match="ambient dimension differs from algebra dimension") as info:
             restrict_to_subalgebra(alg, u)
