@@ -12,6 +12,7 @@ assumed; Lie algebras are the special case where it holds.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -261,19 +262,6 @@ def _dense_sum(n: int, terms: Iterable[tuple[Fraction, Pairs]]) -> Vector:
     return tuple(acc)
 
 
-def _sums_differ(lhs: Iterable[tuple[Fraction, Pairs]],
-                 rhs: Iterable[tuple[Fraction, Pairs]]) -> bool:
-    """Whether two term lists stand for different vectors."""
-    diff: dict[int, Fraction] = {}
-    for a, pairs in lhs:
-        for k, e in pairs:
-            diff[k] = diff.get(k, _ZERO) + a * e
-    for a, pairs in rhs:
-        for k, e in pairs:
-            diff[k] = diff.get(k, _ZERO) - a * e
-    return any(diff.values())
-
-
 def _derivation_failures(nonzero: Sequence[Mapping[int, Pairs]],
                          images: Mapping[int, Pairs]) -> Iterator[tuple[int, int, list, list]]:
     """Walk the derivation law d(b_j.b_k) = d(b_j).b_k + b_j.d(b_k).
@@ -281,23 +269,35 @@ def _derivation_failures(nonzero: Sequence[Mapping[int, Pairs]],
     ``nonzero`` is a table's index and ``images[m]`` is d(b_m) as its
     nonzero (k, c) pairs, with m omitted where d(b_m) = 0.  Yields, in
     (j, k) order, each basis pair where the law fails, with both sides
-    as term lists.  A pair none of whose vectors b_j.b_k, d(b_j), d(b_k)
-    is nonzero satisfies the law and costs one lookup.
+    as term lists.  For each j the defect is summed only at the k that a
+    term reaches: b_j.b_k meeting an m with d(b_m) != 0, b_m.b_k for m
+    in the support of d(b_j), or b_j.b_m for m in that of d(b_k).  Any
+    other pair has three empty sides and costs nothing.
     """
-    n = len(nonzero)
-    for j in range(n):
-        row_j = nonzero[j]
+    users: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)  # m -> (k, d(b_k)_m)
+    for k, dk in images.items():
+        for m, a in dk:
+            users[m].append((k, a))
+    for j, row_j in enumerate(nonzero):
         dj = images.get(j, ())
-        for k in range(n):
-            jk = row_j.get(k, ())
-            dk = images.get(k, ())
-            if not (jk or dj or dk):
-                continue
-            lhs = [(a, images.get(m, ())) for m, a in jk]
-            rhs = [(a, nonzero[m].get(k, ())) for m, a in dj]
-            rhs += [(a, row_j.get(m, ())) for m, a in dk]
-            if _sums_differ(lhs, rhs):
-                yield j, k, lhs, rhs
+        defect: dict[int, dict[int, Fraction]] = defaultdict(lambda: defaultdict(int))
+        for k, pairs in row_j.items():          # d(b_j.b_k)
+            for m, a in pairs:
+                for t, e in images.get(m, ()):
+                    defect[k][t] += a * e
+        for m, a in dj:                          # d(b_j).b_k
+            for k, pairs in nonzero[m].items():
+                for t, e in pairs:
+                    defect[k][t] -= a * e
+        for m, pairs in row_j.items():           # b_j.d(b_k)
+            for k, a in users.get(m, ()):
+                for t, e in pairs:
+                    defect[k][t] -= a * e
+        for k in sorted(defect):
+            if any(defect[k].values()):
+                yield (j, k, [(a, images.get(m, ())) for m, a in row_j.get(k, ())],
+                       [(a, nonzero[m].get(k, ())) for m, a in dj]
+                       + [(a, row_j.get(m, ())) for m, a in images.get(k, ())])
 
 
 def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
