@@ -87,7 +87,7 @@ class StructureTable(_Immutable):
     it holds what ``structure`` derives from the table alone.  ``scaled``
     and ``den``, the integer form of the index, and ``c``, the dense dim³
     tensor that ``repr`` shows, are built on first read; the library
-    never reads ``c``.
+    never reads ``c`` or ``row``.
     """
 
     def __init__(self, dim: int, c: tuple[tuple[Vector, ...], ...]):
@@ -171,10 +171,14 @@ class StructureTable(_Immutable):
         return table
 
     def row(self, i: int, j: int) -> Vector:
-        """Coordinates of the basis product b_i . b_j."""
+        """Coordinates of the basis product b_i . b_j: its stored
+        constants copied into a zero vector."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"basis pair ({i},{j}) out of range")
-        return _dense_sum(self.dim, [(1, self.nonzero[i].get(j, ()))])
+        acc = [_ZERO] * self.dim
+        for k, e in self.nonzero[i].get(j, ()):
+            acc[k] = e
+        return tuple(acc)
 
 
 class LeibnizAlgebra(_Immutable):

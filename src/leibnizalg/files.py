@@ -21,10 +21,10 @@ FORMAT_VERSION = "1"
 
 # Largest dim an algebra file may declare; the catalog's largest bundle,
 # sl8's of dim 126, fits.  A parsed table holds only its nonzero products
-# (an empty dim-128 file: 0.02 MB tracemalloc peak), but the identity
-# check makes dim² lookups per basis element with a nonzero left
-# multiplication, and the solves grow with dim.  The benchmark ladder tops
-# out at dim 30 (the sl4 bundle), and CI splits the sl8 bundle's file.
+# (an empty dim-128 file: 0.02 MB tracemalloc peak), and the identity
+# check's work follows them, but the solves grow with dim.  The benchmark
+# ladder tops out at dim 30 (the sl4 bundle), and CI splits the sl8
+# bundle's file.
 MAX_DIM = 128
 
 

@@ -23,6 +23,8 @@ from leibnizalg import (
     soluble_radical,
 )
 from leibnizalg.algebra import (
+    _dense_sum,
+    _derivation_failures,
     left_multiplication,
     quotient,
     restrict_to_subalgebra,
@@ -109,10 +111,15 @@ def random_tables(draw):
 # --- the nonzero index --------------------------------------------------
 
 def assert_index_matches_tensor(table):
+    """``nonzero`` is sorted, and ``c`` and ``row`` are its dense copies,
+    every entry a ``Fraction``."""
     for i in range(table.dim):
         assert list(table.nonzero[i]) == sorted(table.nonzero[i])
         for j in range(table.dim):
-            expected = tuple((k, e) for k, e in enumerate(table.c[i][j]) if e != 0)
+            row = table.row(i, j)
+            assert row == table.c[i][j] and len(row) == table.dim
+            assert all(type(e) is Fraction for e in row)
+            expected = tuple((k, e) for k, e in enumerate(row) if e != 0)
             assert table.nonzero[i].get(j, ()) == expected
 
 
@@ -189,8 +196,9 @@ def test_checker_matches_oracle_on_zoo_mutants(zoo, data):
 
 # --- the derivation law -------------------------------------------------
 
-def dense_is_derivation(alg, d):
-    """d(b_j.b_k) = d(b_j).b_k + b_j.d(b_k) for all j, k, on dense vectors."""
+def dense_derivation_failures(alg, d):
+    """(j, k, d(b_j.b_k), d(b_j).b_k + b_j.d(b_k)) for each basis pair
+    where the two sides differ, on dense vectors."""
     n = alg.dim
     m = d.entries
 
@@ -199,12 +207,33 @@ def dense_is_derivation(alg, d):
 
     basis = [alg.basis_vector(j) for j in range(n)]
     images = [apply(b) for b in basis]
-    return all(
-        apply(dense_product(alg, basis[j], basis[k]))
-        == vec_add(dense_product(alg, images[j], basis[k]),
-                   dense_product(alg, basis[j], images[k]))
-        for j in range(n) for k in range(n)
-    )
+    out = []
+    for j in range(n):
+        for k in range(n):
+            lhs = apply(dense_product(alg, basis[j], basis[k]))
+            rhs = vec_add(dense_product(alg, images[j], basis[k]),
+                          dense_product(alg, basis[j], images[k]))
+            if lhs != rhs:
+                out.append((j, k, lhs, rhs))
+    return out
+
+
+@st.composite
+def maps_on(draw, alg):
+    """A plain map with a few small entries, or the inner derivation of a
+    random x, either one perhaps off by 1 in one entry.  On a valid
+    algebra inner derivations pass the derivation law, and their
+    perturbations mostly fail it."""
+    n = alg.dim
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        rows = [list(r) for r in left_multiplication(alg, x).entries]
+    else:
+        entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+        rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
+    return Matrix.from_rows(rows, cols=n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,27 +246,32 @@ def test_identity_is_the_derivation_law_of_left_multiplications(table):
     )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_is_derivation_matches_dense_oracle(zoo, data):
-    # random tables, and small valid algebras, on which inner derivations
-    # pass the law and their one-entry perturbations mostly fail it
-    if data.draw(st.booleans()):
-        alg = LeibnizAlgebra(data.draw(random_tables()), validate=False)
-    else:
-        alg = data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 5]))
+    # small valid algebras; random tables are in the next test
+    alg = data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 5]))
+    d = data.draw(maps_on(alg))
+    assert is_derivation(alg, d) == (not dense_derivation_failures(alg, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_tables(), st.data())
+def test_derivation_failures_match_dense_oracle(table, data):
+    """The walk yields every failing pair with both sides, not only
+    whether one fails.  On a sparse table many pairs are reached by only
+    one of the law's three terms, so a walk that skips such pairs fails
+    here."""
+    alg = LeibnizAlgebra(table, validate=False)
+    d = data.draw(maps_on(alg))
     n = alg.dim
-    small = st.integers(-2, 2)
-    if data.draw(st.booleans()):
-        x = data.draw(st.lists(small, min_size=n, max_size=n))
-        rows = [list(r) for r in left_multiplication(alg, x).entries]
-        if n and data.draw(st.booleans()):
-            rows[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += 1
-    else:
-        entries = st.sampled_from([0, 0, 0, 1, -1, 2])
-        rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
-    d = Matrix.from_rows(rows, cols=n)
-    assert is_derivation(alg, d) == dense_is_derivation(alg, d)
+    images = {m: pairs for m in range(n)
+              if (pairs := tuple((k, e) for k, e in enumerate(d.column(m)) if e))}
+    got = [(j, k, _dense_sum(n, lhs), _dense_sum(n, rhs))
+           for j, k, lhs, rhs in _derivation_failures(table.nonzero, images)]
+    expected = dense_derivation_failures(alg, d)
+    assert got == expected
+    assert is_derivation(alg, d) == (not expected)
 
 
 # --- product ------------------------------------------------------------

@@ -133,18 +133,38 @@ def test_empty_table_at_the_limit_is_cheap(capsys, tmp_path):
         assert run(capsys, command, str(path))[0] == 0
 
 
-def test_library_never_reads_the_dense_tensor(monkeypatch, tmp_path, bundle_sl3):
+def test_library_never_reads_the_dense_tensor(monkeypatch, capsys, tmp_path, bundle_sl3):
+    """No library call and no command reads ``c`` or ``row``, so their
+    cost never reaches a command's."""
     path = tmp_path / "sl3.json"
     dump_algebra(bundle_sl3.L, path)
+    dump_subspace(bundle_sl3.S, tmp_path / "S.json")
+    dump_subspace(bundle_sl3.S1, tmp_path / "S1.json")
+    violating = tmp_path / "idempotent.json"  # x.x = x
+    violating.write_text(json.dumps({"format_version": "1", "dim": 1, "basis": ["x"],
+                                     "table": [[0, 0, [[0, "1"]]]]}))
     alg = load_algebra(path)
     reads = []
     prop = vars(StructureTable)["c"]
-    monkeypatch.setattr(prop, "func", lambda self, f=prop.func: reads.append(self) or f(self))
+    monkeypatch.setattr(prop, "func", lambda self, f=prop.func: reads.append("c") or f(self))
+    row = StructureTable.row
+    monkeypatch.setattr(StructureTable, "row",
+                        lambda self, i, j: reads.append("row") or row(self, i, j))
     leibniz_levi(alg)
     structure.derived_series(alg, Subspace.full(alg.dim))
     structure.is_semisimple(alg)
     non_conjugacy_certificate(alg, bundle_sl3.S, bundle_sl3.S1)
     assert "c" not in vars(alg.table)
+    codes = [run(capsys, *argv)[0] for argv in (
+        ("validate", str(path)),
+        ("analyze", str(path)),
+        ("levi", str(path)),
+        ("example", "--simple", "sl3", "--output", str(tmp_path / "example.json")),
+        ("conjugacy", str(path), "--complement-a", str(tmp_path / "S.json"),
+         "--complement-b", str(tmp_path / "S1.json")),
+        ("validate", str(violating)),
+    )]
+    assert codes == [0, 0, 0, 0, 0, 1]
     assert reads == []
 
 
