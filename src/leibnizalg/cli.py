@@ -10,7 +10,6 @@ they are byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import random
 import sys
@@ -20,15 +19,13 @@ from fractions import Fraction
 from . import constructions
 from .algebra import LeibnizIdentityError, check_left_leibniz, is_lie, product
 from .conjugacy import CertificateError, NotAComplementError, non_conjugacy_certificate
-from .exactlin import Subspace
+from .exactlin import RATIONAL, Subspace, as_scalar, scalar_to_str
 from .files import (
-    _CANONICAL_SCALAR,
     AlgebraFileError,
     algebra_digest,
     dump_algebra,
     load_algebra,
     load_subspace,
-    scalar_to_str,
     serialize_subspace,
 )
 from .levi import LeviVerificationError, NoSolutionError, leibniz_levi
@@ -244,12 +241,10 @@ def cmd_conjugacy(args, report: _Report) -> int:
 
 
 def _parse_lambda(text: str) -> Fraction:
-    # the shape is matched before ``Fraction`` would evaluate an exponent
-    # such as "1e10000000"
-    if _CANONICAL_SCALAR.fullmatch(text):
-        with contextlib.suppress(ValueError, ZeroDivisionError):
-            return Fraction(text)
-    raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    try:
+        return as_scalar(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
 def _attach_negative_lambdas(argv: list[str]) -> list[str]:
@@ -258,7 +253,7 @@ def _attach_negative_lambdas(argv: list[str]) -> list[str]:
     int or decimal, and "-1/2" does not."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--lambda" and _CANONICAL_SCALAR.fullmatch(arg) and arg[0] == "-":
+        if out and out[-1] == "--lambda" and arg[:1] == "-" and RATIONAL.fullmatch(arg):
             out[-1] = f"--lambda={arg}"
         else:
             out.append(arg)

@@ -24,10 +24,16 @@ the vector is scaled once, and each output coordinate is one integer
 sum and at most one Fraction.  The dense sums, scalings and
 products of matrices serve ``exp_nilpotent``; the only other user is
 ``Matrix.__sub__`` in the benchmark's sl(n) builder (``workloads.sln``).
+
+Rationals as text live here too.  ``as_scalar`` matches a string to
+``RATIONAL`` first, since ``Fraction`` evaluates an exponent such as
+"1e10000000" before any check.  ``scalar_to_str`` writes ``str(x)``, in
+chunks past the interpreter's int-to-string limit.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -45,18 +51,51 @@ class NotNilpotentError(ValueError):
     nonzero trace, which proves it is not nilpotent."""
 
 
-def as_scalar(value: object) -> Fraction:
-    """Coerce an int, Fraction or exact "p/q" string to a rational.
+# A rational as text: the shape ``str(Fraction)`` writes, any denominator.
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-    Floats are rejected: this library is exact by contract.
-    """
+
+def as_scalar(value: object) -> Fraction:
+    """Coerce a Fraction, an int that is not a bool, or a ``RATIONAL``
+    string ("2/4" reads as 1/2) to a rational.  Anything else, floats and
+    "0.5" too, raises TypeError; "1/0" raises ZeroDivisionError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and RATIONAL.fullmatch(value):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+# Decimal digits per chunk when writing an integer.  ``str(int)`` refuses
+# integers of more digits than the interpreter's limit (4300 by default),
+# which computed values reach from legal inputs: a 3000-digit table entry
+# squares to 6000 digits in a violation report.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_to_str(n: int) -> str:
+    """Decimal form of n, written in fixed-width chunks when it is large."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    chunks = []
+    while n:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    return sign + str(chunks.pop()) + "".join(
+        f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
+
+
+def scalar_to_str(x: Fraction) -> str:
+    """``str(x)``, also for numerators and denominators longer than the
+    interpreter's int-to-string limit."""
+    if x.denominator == 1:
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def as_vector(entries: Iterable[object]) -> Vector:
@@ -430,7 +469,7 @@ class Subspace(_Immutable):
         return hash((self.ambient_dim, self.basis))
 
     def __repr__(self) -> str:
-        rows = [[str(x) for x in r] for r in self.basis.entries]
+        rows = [list(map(scalar_to_str, r)) for r in self.basis.entries]
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}, rows={rows})"
 
 

@@ -1,21 +1,21 @@
 """Algebra and subspace files: a sparse JSON format with exact "p/q"
 scalars, plus the canonical digest used by reports and certificates.
 
-Zero products are omitted from the table.  Scalar strings must be in
-lowest terms with a positive denominator so that serialization
-round-trips byte for byte.
+Zero products are omitted from the table.  Scalars are read with
+``exactlin.as_scalar`` and written with ``exactlin.scalar_to_str``; a
+file's scalar strings must also be in lowest terms, so that
+serialization round-trips byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import LeibnizAlgebra, StructureTable
-from .exactlin import Subspace
+from .exactlin import Subspace, as_scalar, scalar_to_str
 
 FORMAT_VERSION = "1"
 
@@ -32,48 +32,13 @@ class AlgebraFileError(ValueError):
     """Malformed algebra or subspace file."""
 
 
-# Decimal digits per chunk when writing an integer.  ``str(int)`` refuses
-# integers of more digits than the interpreter's limit (4300 by default),
-# which computed values reach from legal inputs: a 3000-digit table entry
-# squares to 6000 digits in a violation report.
-_CHUNK_DIGITS = 1000
-_CHUNK = 10 ** _CHUNK_DIGITS
-
-
-def _int_to_str(n: int) -> str:
-    """Decimal form of n, written in fixed-width chunks when it is large."""
-    if -_CHUNK < n < _CHUNK:
-        return str(n)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    chunks = []
-    while n:
-        n, r = divmod(n, _CHUNK)
-        chunks.append(r)
-    return sign + str(chunks.pop()) + "".join(
-        f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
-
-
-def scalar_to_str(x: Fraction) -> str:
-    """``str(x)``, also for numerators and denominators longer than the
-    interpreter's int-to-string limit."""
-    if x.denominator == 1:
-        return _int_to_str(x.numerator)
-    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
-
-
-# The only shape ``str(Fraction)`` writes; matched before ``Fraction``
-# would evaluate an exponent such as "1e10000000".
-_CANONICAL_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def str_to_scalar(s: str) -> Fraction:
     if not isinstance(s, str):
         raise AlgebraFileError(f"scalar must be a string, got {s!r}")
-    if not _CANONICAL_SCALAR.fullmatch(s):
-        raise AlgebraFileError(f"scalar {s!r} is not in canonical lowest terms")
     try:
-        value = Fraction(s)
+        value = as_scalar(s)
+    except TypeError:
+        raise AlgebraFileError(f"scalar {s!r} is not in canonical lowest terms") from None
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraFileError(f"bad scalar {s!r}: {exc}") from None
     if str(value) != s:

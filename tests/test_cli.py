@@ -260,27 +260,53 @@ def _hostile_text(kind, payload):
                        "rows": [[payload, "0", "0", "0", "0", "0"]]})
 
 
+ALGEBRA_READERS = ("validate", "analyze", "levi", "conjugacy")
+
+
+def _reading_algebra(command, path, bundle_files):
+    """argv for a command that reads the algebra file at path."""
+    if command == "conjugacy":
+        return [command, str(path), "--complement-a", str(bundle_files["S"]),
+                "--complement-b", str(bundle_files["S1"])]
+    return [command, str(path)]
+
+
 @pytest.mark.parametrize("payload", ["1e5000", "1e-5000", "1e10000000", "nested"])
 @pytest.mark.parametrize("kind", ["algebra", "subspace"])
 def test_hostile_file_is_reported(capsys, tmp_path, bundle_files, kind, payload):
     # Fraction evaluates an exponent before any check ("1e10000000" took
     # 15 s), and str() of the result passes the int-to-string limit; deep
-    # nesting passes the JSON decoder's recursion limit.
+    # nesting passes the JSON decoder's recursion limit.  Every command
+    # that reads an algebra file gets the hostile algebra.
     path = tmp_path / "hostile.json"
     path.write_text(_hostile_text(kind, payload))
     if kind == "algebra":
-        argv = ["validate", str(path)]
+        argvs = [_reading_algebra(command, path, bundle_files) for command in ALGEBRA_READERS]
     else:
-        argv = ["conjugacy", str(bundle_files["algebra"]),
-                "--complement-a", str(path), "--complement-b", str(bundle_files["S1"])]
-    start = time.perf_counter()
-    code, out = run(capsys, "--format", "json", *argv)
-    assert time.perf_counter() - start < 1.0
+        argvs = [["conjugacy", str(bundle_files["algebra"]),
+                  "--complement-a", str(path), "--complement-b", str(bundle_files["S1"])]]
+    for argv in argvs:
+        start = time.perf_counter()
+        code, out = run(capsys, "--format", "json", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        check = json.loads(out)["checks"][-1]
+        assert check["name"] == "usable_input" and not check["passed"]
+        assert ("is not valid JSON" if payload == "nested"
+                else "is not in canonical lowest terms") in check["witness"]
+
+
+@pytest.mark.parametrize("command", ALGEBRA_READERS)
+def test_scalar_past_the_digit_limit_is_a_bad_scalar(capsys, tmp_path, bundle_files, command):
+    # of the right shape, but longer than the interpreter's 4300-digit
+    # limit for reading an int
+    path = tmp_path / "long.json"
+    path.write_text(_hostile_text("algebra", "9" * 5000))
+    code, out = run(capsys, "--format", "json", *_reading_algebra(command, path, bundle_files))
     assert code == 2
     check = json.loads(out)["checks"][-1]
     assert check["name"] == "usable_input" and not check["passed"]
-    assert ("is not valid JSON" if payload == "nested"
-            else "is not in canonical lowest terms") in check["witness"]
+    assert check["witness"].startswith(f"bad scalar '{'9' * 5000}': ")
 
 
 # --- analyze ----------------------------------------------------------------------

@@ -1,18 +1,29 @@
 """Exact linear algebra: frozen examples, hypothesis properties, and
 cross-checks against sympy as an independent oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import exp_nilpotent_oracle, matrix_inverse
-from leibnizalg import Matrix, Subspace, counterexample, inner_derivation, rref
+from leibnizalg import (
+    Matrix,
+    Subspace,
+    counterexample,
+    diagonal_complement,
+    inner_derivation,
+    product,
+    rref,
+)
 from leibnizalg.exactlin import (
     NotNilpotentError,
+    as_scalar,
     as_vector,
     exp_nilpotent,
+    scalar_to_str,
     solve_affine,
     subspace_sum,
 )
@@ -407,6 +418,79 @@ def test_as_vector_rejects_floats():
         as_vector((F(1), 0.5))
     with pytest.raises(TypeError):
         as_vector([0.5])
+
+
+# --- scalars as text -----------------------------------------------------
+
+# Each public entry point that coerces a scalar, applied to the sl2
+# bundle and a value v.
+ENTRY_POINTS = {
+    "as_scalar": lambda bundle, v: as_scalar(v),
+    "as_vector": lambda bundle, v: as_vector([F(1), v]),
+    "Subspace": lambda bundle, v: Subspace(1, [[v]]),
+    "product": lambda bundle, v: product(bundle.L, [v] + [0] * 5, [1] + [0] * 5),
+    "diagonal_complement": diagonal_complement,
+}
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1e-5000", "0.5", "+1", " 7", "1_0",
+                                   "1 /2", True, 0.5], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_what_is_not_an_exact_rational(bundle_sl2, entry, value):
+    """``Fraction`` reads all of these; "1e10000000" took 6.7 s of CPU
+    time before it was refused by shape."""
+    start = time.process_time()
+    with pytest.raises(TypeError, match=r"^not an exact rational: "):
+        ENTRY_POINTS[entry](bundle_sl2, value)
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_accept_exact_rationals_and_refuse_a_zero_denominator(bundle_sl2, entry):
+    for value in ("-3/4", "2/4", 5, F(2, 3)):
+        ENTRY_POINTS[entry](bundle_sl2, value)
+    with pytest.raises(ZeroDivisionError):
+        ENTRY_POINTS[entry](bundle_sl2, "1/0")
+
+
+def test_as_scalar_reads_each_accepted_form():
+    assert [as_scalar(v) for v in ("-3/4", "2/4", "007", 5, F(2, 3))] == [
+        F(-3, 4), F(1, 2), F(7), F(5), F(2, 3)]
+    assert type(as_scalar(5)) is Fraction
+
+
+def integers_of_up_to(digits):
+    return st.integers(1, digits).flatmap(lambda d: st.integers(1 - 10 ** d, 10 ** d - 1))
+
+
+@settings(deadline=None)
+@given(integers_of_up_to(4000), integers_of_up_to(4000).filter(bool))
+@example(10 ** 1000 - 1, 1)
+@example(-(10 ** 1000 + 1), 10 ** 1000 - 1)
+@example(10 ** 3999, 7 ** 4000 // 10 ** 3000)
+def test_scalar_text_round_trips(num, den):
+    """Below the interpreter's 4300-digit limit ``scalar_to_str`` writes
+    what ``str`` writes, chunked or not, and ``as_scalar`` reads it back."""
+    x = F(num, den)
+    text = scalar_to_str(x)
+    assert text == str(x)
+    assert as_scalar(text) == x
+
+
+def test_a_string_past_the_digit_limit_is_a_value_error():
+    with pytest.raises(ValueError, match="4300"):
+        as_scalar("9" * 5000)
+
+
+def test_subspace_repr_writes_entries_past_the_digit_limit():
+    sub = Subspace(2, [[1, F(10 ** 5000 + 1, 3)]])
+    assert repr(sub) == ("Subspace(dim 1 of Q^2, rows=[['1', '1" + "0" * 4999
+                         + "1/3']])")
+
+
+def test_subspace_repr_shows_the_canonical_rows():
+    assert repr(Subspace(3, [[0, 2, 1], [0, 4, 2]])) == (
+        "Subspace(dim 1 of Q^3, rows=[['0', '1', '1/2']])")
 
 
 # --- rref ---------------------------------------------------------------
