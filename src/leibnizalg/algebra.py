@@ -23,6 +23,7 @@ from .exactlin import (
     Subspace,
     Vector,
     _echelon,
+    _fraction_repr,
     _Immutable,
     _make_primitive,
     _scaled_row,
@@ -75,6 +76,7 @@ class ViolationReport(NamedTuple):
 Pairs = tuple[tuple[int, Fraction], ...]
 # The same pairs with each c scaled to an integer (see StructureTable).
 IntPairs = tuple[tuple[int, int], ...]
+Sums = dict[int, dict[int, Fraction]]  # k -> a sparse vector {t: coefficient}
 
 
 class StructureTable(_Immutable):
@@ -127,7 +129,7 @@ class StructureTable(_Immutable):
         return hash((self.dim, tuple(tuple(p.items()) for p in self.nonzero)))
 
     def __repr__(self) -> str:
-        return f"StructureTable(dim={self.dim!r}, c={self.c!r})"
+        return f"StructureTable(dim={self.dim!r}, c={_fraction_repr(self.c)})"
 
     @cached_property
     def c(self) -> tuple[tuple[Vector, ...], ...]:
@@ -258,14 +260,6 @@ def product(alg: LeibnizAlgebra, x: Sequence[object], y: Sequence[object]) -> Ve
 # A term list [(a, pairs), ...] stands for the sparse vector
 # sum of a * pairs over its terms.
 
-def _dense_sum(n: int, terms: Iterable[tuple[Fraction, Pairs]]) -> Vector:
-    acc = [_ZERO] * n
-    for a, pairs in terms:
-        for k, e in pairs:
-            acc[k] += a * e
-    return tuple(acc)
-
-
 def _derivation_failures(nonzero: Sequence[Mapping[int, Pairs]],
                          images: Mapping[int, Pairs]) -> Iterator[tuple[int, int, list, list]]:
     """Walk the derivation law d(b_j.b_k) = d(b_j).b_k + b_j.d(b_k).
@@ -304,23 +298,57 @@ def _derivation_failures(nonzero: Sequence[Mapping[int, Pairs]],
                        + [(a, row_j.get(m, ())) for m, a in images.get(k, ())])
 
 
-def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
-    """Evaluate a(bc) = (ab)c + b(ac) on every basis triple.
+def _sums(terms: Iterable[tuple[int, Fraction, Pairs]]) -> Sums:
+    """k -> the sum of a * pairs over the terms (k, a, pairs)."""
+    sums: Sums = defaultdict(dict)
+    for k, a, pairs in terms:
+        acc = sums[k]
+        for t, e in pairs:
+            acc[t] = acc[t] + a * e if t in acc else a * e
+    return sums
 
-    The report is empty exactly when the identity holds; otherwise it
-    lists each violating triple, in (i, j, k) order, with both sides as
-    dense vectors.  Triple (i, j, k) is the derivation law of left
-    multiplication by b_i at the pair (j, k), which holds for every pair
-    when that map is zero (an empty ``nonzero[i]``).
-    """
+
+def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
+    """Evaluate a(bc) = (ab)c + b(ac) on every basis triple; the report
+    lists each failing one, in (i, j, k) order, with both sides as vectors.
+
+    With A(i, j, k) = b_i(b_j.b_k) and B(i, j, k) = (b_i.b_j).b_k, the
+    defect at (i, j, k) is A(i, j, k) - A(j, i, k) - B(i, j, k), and at
+    (i, i, k) it is -B(i, i, k).  So the sums of a pair {i, j} serve both
+    orders; a pair is visited if both left multiplications are nonzero
+    or one of b_i.b_j and b_j.b_i is."""
     n = alg.dim
     nonzero = alg.table.nonzero
     violations = []
-    for i, images in enumerate(nonzero):
-        if not images:
-            continue
-        for j, k, lhs, rhs in _derivation_failures(nonzero, images):
-            violations.append(Violation(i, j, k, _dense_sum(n, lhs), _dense_sum(n, rhs)))
+
+    def left(i: int, j: int) -> Sums:  # k -> A(i, j, k)
+        row_i = nonzero[i]
+        return _sums((k, a, row_i[m]) for k, pairs in nonzero[j].items()
+                     for m, a in pairs if m in row_i)
+
+    def right(i: int, j: int) -> Sums:  # k -> B(i, j, k)
+        return _sums((k, a, pairs) for m, a in nonzero[i].get(j, ())
+                     for k, pairs in nonzero[m].items())
+
+    def report(i: int, j: int, lhs: Sums, ji: Sums, ij: Sums) -> None:  # where lhs != ji + ij
+        for k in lhs.keys() | ji.keys() | ij.keys():
+            a, rhs = lhs.get(k, {}), dict(ji.get(k, {}))
+            for t, e in ij.get(k, {}).items():
+                rhs[t] = rhs[t] + e if t in rhs else e
+            if a != rhs and any(a.get(t, _ZERO) != rhs.get(t, _ZERO) for t in a.keys() | rhs.keys()):
+                violations.append(Violation(i, j, k, *(tuple(v.get(t, _ZERO) for t in range(n))
+                                                       for v in (a, rhs))))
+
+    active = [i for i, row in enumerate(nonzero) if row]
+    for p, i in enumerate(active):
+        square = right(i, i)
+        if any(any(acc.values()) for acc in square.values()):
+            report(i, i, diagonal := left(i, i), diagonal, square)
+        for j in active[p + 1:] + [j for j in nonzero[i] if not nonzero[j]]:
+            ij, ji = left(i, j), left(j, i)
+            report(i, j, ij, ji, right(i, j))
+            report(j, i, ji, ij, right(j, i))
+    violations.sort()
     return ViolationReport(tuple(violations))
 
 
@@ -413,22 +441,17 @@ def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Subs
         raise ValueError("ambient dimension differs from algebra dimension")
     pivot_set = set(ideal.pivots)
     free = [c for c in range(alg.dim) if c not in pivot_set]
-    q = len(free)
     position = {f: t for t, f in enumerate(free)}
 
     # image of each ambient basis vector, as (quotient index, coeff) pairs
     images = {f: ((t, Fraction(1)),) for t, f in enumerate(free)}
     for p, row in zip(ideal.pivots, ideal.sparse_rows):
         images[p] = tuple((position[c], -e) for c, e in row if c != p)
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ti, f in enumerate(free):
-        for j, pairs in alg.table.nonzero[f].items():
-            tj = position.get(j)
-            if tj is not None:
-                image = _dense_sum(q, ((e, images[k]) for k, e in pairs))
-                products[(ti, tj)] = dict(enumerate(image))
+    products = {(ti, tj): image for ti, f in enumerate(free) for tj, image in _sums(
+        (position[j], e, images[k]) for j, pairs in alg.table.nonzero[f].items()
+        if j in position for k, e in pairs).items()}
     qalg = LeibnizAlgebra(
-        StructureTable.from_map(q, products),
+        StructureTable.from_map(len(free), products),
         labels=[alg.labels[f] for f in free],
         validate=False,
     )

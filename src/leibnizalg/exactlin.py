@@ -98,6 +98,13 @@ def scalar_to_str(x: Fraction) -> str:
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
+def _fraction_repr(x: object) -> str:
+    """``repr`` of nested tuples of Fractions, also past the int-to-string limit."""
+    if isinstance(x, tuple):
+        return f"({', '.join(map(_fraction_repr, x))}{',' * (len(x) == 1)})"
+    return f"{type(x).__name__}({_int_to_str(x.numerator)}, {_int_to_str(x.denominator)})"
+
+
 def as_vector(entries: Iterable[object]) -> Vector:
     """Coerce entries to a tuple of rationals.
 
@@ -171,7 +178,7 @@ class Matrix(_Immutable):
         return hash((self.rows, self.cols, self.nonzero))
 
     def __repr__(self) -> str:
-        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={_fraction_repr(self.entries)})"
 
     @cached_property
     def entries(self) -> tuple[Vector, ...]:

@@ -23,7 +23,6 @@ from leibnizalg import (
     soluble_radical,
 )
 from leibnizalg.algebra import (
-    _dense_sum,
     _derivation_failures,
     left_multiplication,
     quotient,
@@ -35,7 +34,16 @@ from leibnizalg.files import MAX_DIM
 from leibnizalg.sampling import rational_vector
 from leibnizalg.structure import is_semisimple
 
-from conftest import dense_product, is_ideal, leibniz_algebras, sympy_rank
+from conftest import (
+    change_basis,
+    dense_product,
+    is_ideal,
+    leibniz_algebras,
+    matrix_inverse,
+    random_invertible,
+    sl2_irrep,
+    sympy_rank,
+)
 
 F = Fraction
 
@@ -196,6 +204,15 @@ def test_checker_matches_oracle_on_zoo_mutants(zoo, data):
 
 # --- the derivation law -------------------------------------------------
 
+def dense_sum(n, terms):
+    """The dense vector sum of a * pairs over a term list [(a, pairs), ...]."""
+    acc = [F(0)] * n
+    for a, pairs in terms:
+        for k, e in pairs:
+            acc[k] += a * e
+    return tuple(acc)
+
+
 def dense_derivation_failures(alg, d):
     """(j, k, d(b_j.b_k), d(b_j).b_k + b_j.d(b_k)) for each basis pair
     where the two sides differ, on dense vectors."""
@@ -267,7 +284,7 @@ def test_derivation_failures_match_dense_oracle(table, data):
     n = alg.dim
     images = {m: pairs for m in range(n)
               if (pairs := tuple((k, e) for k, e in enumerate(d.column(m)) if e))}
-    got = [(j, k, _dense_sum(n, lhs), _dense_sum(n, rhs))
+    got = [(j, k, dense_sum(n, lhs), dense_sum(n, rhs))
            for j, k, lhs, rhs in _derivation_failures(table.nonzero, images)]
     expected = dense_derivation_failures(alg, d)
     assert got == expected
@@ -355,6 +372,114 @@ def test_padding_with_zero_basis_vectors_does_not_multiply_the_walk():
             best[side] = min(best[side], time.process_time() - start)
             assert report.ok
     assert best[1] < 1.5 * best[0]
+
+
+def test_idempotent_square_fails_only_at_the_diagonal_triple():
+    """x.x = x: x(xx) = x, but (xx)x + x(xx) = 2x.  On the diagonal the
+    defect is -(b_i.b_i).b_k, and the report still carries both sides."""
+    alg = LeibnizAlgebra(StructureTable.from_map(1, {(0, 0): {0: 1}}), validate=False)
+    assert [tuple(v) for v in check_left_leibniz(alg).violations] == [(0, 0, 0, (F(1),), (F(2),))]
+    assert_checker_matches_oracle(alg)
+
+
+@pytest.mark.parametrize("products, failing", [
+    # b_0.b_1 = b_1 and b_1.b_0 = 0: a Leibniz algebra
+    ({(0, 1): {1: 1}}, 0),
+    # b_0.b_1 = b_0 and b_1.b_0 = 0: (b_0.b_1).b_1 = b_0.b_1 = b_0 != 0
+    ({(0, 1): {0: 1}}, 1),
+    # b_1.b_0 = b_0 + b_1 alone, the pair reached in the other order:
+    # b_1(b_0.b_0) = 0, but (b_1.b_0).b_0 = b_1.b_0 != 0
+    ({(1, 0): {0: 1, 1: 1}}, 1),
+])
+def test_a_pair_reached_in_one_order_only(products, failing):
+    alg = LeibnizAlgebra(StructureTable.from_map(2, products), validate=False)
+    assert len(check_left_leibniz(alg).violations) == failing
+    assert_checker_matches_oracle(alg)
+
+
+def test_a_row_without_products_paired_with_one_that_has_some():
+    """b_2 multiplies everything to zero, b_0.b_2 = b_1 and b_1.b_1 = b_2:
+    (b_0.b_2).b_1 = b_2 fails at (0, 2, 1), and each pair with b_2 is
+    reached by b_0.b_2 or by neither product."""
+    alg = LeibnizAlgebra(StructureTable.from_map(
+        3, {(0, 2): {1: 1}, (1, 1): {2: 1}, (0, 0): {0: 2}}), validate=False)
+    assert not alg.table.nonzero[2]
+    report = check_left_leibniz(alg)
+    assert (0, 2, 1) in [v[:3] for v in report.violations]
+    assert_checker_matches_oracle(alg)
+    assert_checker_matches_oracle(mutate_entry(alg, 1, 1, 2, 0))
+
+
+def dense_dim7(sl2, seed):
+    """sl2 acting from the left on V(1), with zero right action, and a
+    generator t with t.t = z (dim 3 + 2 + 2), after a seeded change of
+    basis that leaves every table entry nonzero."""
+    products = {(i, j): dict(pairs)
+                for i, row in enumerate(sl2.table.nonzero) for j, pairs in row.items()}
+    for a, rho in enumerate(sl2_irrep(1).rho):
+        for r, row in enumerate(rho.entries):
+            for col, e in enumerate(row):
+                if e:
+                    products.setdefault((a, 3 + col), {})[3 + r] = e
+    products[(5, 5)] = {6: 1}
+    base = LeibnizAlgebra(StructureTable.from_map(7, products))
+    rng = random.Random(seed)
+    while True:
+        g = random_invertible(rng, 7)
+        alg = change_basis(base, g, matrix_inverse(g), validate=False)
+        if all(e for plane in alg.table.c for row in plane for e in row):
+            return alg
+
+
+def seeded_mutants(alg, seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+        yield mutate_entry(alg, i, j, k, alg.table.c[i][j][k] + F(rng.choice([-2, -1, 1, 2]), 3))
+
+
+def test_checker_matches_oracle_on_a_dense_table_and_its_mutants(sl2):
+    alg = dense_dim7(sl2, 5)
+    assert check_left_leibniz(alg).ok
+    assert_checker_matches_oracle(alg)
+    for mutant in seeded_mutants(alg, 6, 3):
+        assert not check_left_leibniz(mutant).ok
+        assert_checker_matches_oracle(mutant)
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the multiplications it takes part in."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        CountingFraction.calls += 1
+        return Fraction.__mul__(self, other)
+
+    def __rmul__(self, other):
+        CountingFraction.calls += 1
+        return Fraction.__rmul__(self, other)
+
+
+def test_dense_walk_makes_each_composite_once(sl2):
+    """On a dense dim-7 table each unordered pair {i, j} forms its four
+    sums b_i(b_j.b_k), b_j(b_i.b_k), (b_i.b_j).b_k and (b_j.b_i).b_k, of
+    dim³ multiplications each, once, and the diagonal forms
+    (b_i.b_i).b_k, plus b_i(b_i.b_k) where it fails: at most 2·7⁵
+    constant multiplications, where a walk that forms b_i(b_j.b_k) at
+    both (i, j, k) and (j, i, k) makes 3·7⁵."""
+    alg = dense_dim7(sl2, 5)
+    for table in [alg.table] + [m.table for m in seeded_mutants(alg, 6, 3)]:
+        counting = LeibnizAlgebra(StructureTable.from_map(7, {
+            (i, j): {k: CountingFraction(e) for k, e in pairs}
+            for i, row in enumerate(table.nonzero) for j, pairs in row.items()
+        }), validate=False)
+        assert all(type(e) is CountingFraction
+                   for row in counting.table.nonzero for pairs in row.values() for _, e in pairs)
+        CountingFraction.calls = 0
+        report = check_left_leibniz(counting)
+        assert 0 < CountingFraction.calls <= 2 * 7 ** 5
+        assert report == check_left_leibniz(LeibnizAlgebra(table, validate=False))
 
 
 def test_mutation_sensitivity_seeded(sl2):
@@ -501,6 +626,12 @@ def coprime_bundle(bundle_sl2):
 def test_structure_table_repr_shows_dim_and_c():
     table = StructureTable(1, (((F(0),),),))
     assert repr(table) == "StructureTable(dim=1, c=(((Fraction(0, 1),),),))"
+
+
+def test_structure_table_repr_writes_entries_past_the_digit_limit():
+    table = StructureTable.from_map(1, {(0, 0): {0: F(10 ** 5000 + 1, 3)}})
+    assert repr(table) == ("StructureTable(dim=1, c=(((Fraction(1" + "0" * 4999
+                           + "1, 3),),),))")
 
 
 def test_structure_tables_compare_and_hash_by_dim_and_c(coprime_bundle):

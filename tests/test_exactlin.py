@@ -311,6 +311,12 @@ def test_matrix_repr_names_its_three_fields():
     assert repr(m) == "Matrix(rows=1, cols=2, entries=((Fraction(1, 1), Fraction(0, 1)),))"
 
 
+def test_matrix_repr_writes_entries_past_the_digit_limit():
+    m = Matrix.from_rows([[F(10 ** 5000 + 1, 3)]])
+    assert repr(m) == ("Matrix(rows=1, cols=1, entries=((Fraction(1" + "0" * 4999
+                       + "1, 3),),))")
+
+
 @pytest.mark.parametrize("name", ["rows", "cols", "nonzero", "entries", "_scaled_columns",
                                   "other"])
 def test_matrix_rejects_assignment(name):
