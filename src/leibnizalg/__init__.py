@@ -15,6 +15,7 @@ from .algebra import (
     StructureTable,
     ViolationReport,
     check_left_leibniz,
+    is_derivation,
     is_lie,
     product,
 )
@@ -45,7 +46,6 @@ from .conjugacy import (
     NotAComplementError,
     inner_derivation,
     invariance_check,
-    is_derivation,
     non_conjugacy_certificate,
 )
 

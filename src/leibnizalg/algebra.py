@@ -257,48 +257,7 @@ def product(alg: LeibnizAlgebra, x: Sequence[object], y: Sequence[object]) -> Ve
     return tuple(Fraction(a, d * den[k]) if a else _ZERO for k, a in enumerate(acc))
 
 
-# A term list [(a, pairs), ...] stands for the sparse vector
-# sum of a * pairs over its terms.
-
-def _derivation_failures(nonzero: Sequence[Mapping[int, Pairs]],
-                         images: Mapping[int, Pairs]) -> Iterator[tuple[int, int, list, list]]:
-    """Walk the derivation law d(b_j.b_k) = d(b_j).b_k + b_j.d(b_k).
-
-    ``nonzero`` is a table's index and ``images[m]`` is d(b_m) as its
-    nonzero (k, c) pairs, with m omitted where d(b_m) = 0.  Yields, in
-    (j, k) order, each basis pair where the law fails, with both sides
-    as term lists.  For each j the defect is summed only at the k that a
-    term reaches: b_j.b_k meeting an m with d(b_m) != 0, b_m.b_k for m
-    in the support of d(b_j), or b_j.b_m for m in that of d(b_k).  Any
-    other pair has three empty sides and costs nothing.
-    """
-    users: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)  # m -> (k, d(b_k)_m)
-    for k, dk in images.items():
-        for m, a in dk:
-            users[m].append((k, a))
-    for j, row_j in enumerate(nonzero):
-        dj = images.get(j, ())
-        defect: dict[int, dict[int, Fraction]] = defaultdict(lambda: defaultdict(int))
-        for k, pairs in row_j.items():          # d(b_j.b_k)
-            for m, a in pairs:
-                for t, e in images.get(m, ()):
-                    defect[k][t] += a * e
-        for m, a in dj:                          # d(b_j).b_k
-            for k, pairs in nonzero[m].items():
-                for t, e in pairs:
-                    defect[k][t] -= a * e
-        for m, pairs in row_j.items():           # b_j.d(b_k)
-            for k, a in users.get(m, ()):
-                for t, e in pairs:
-                    defect[k][t] -= a * e
-        for k in sorted(defect):
-            if any(defect[k].values()):
-                yield (j, k, [(a, images.get(m, ())) for m, a in row_j.get(k, ())],
-                       [(a, nonzero[m].get(k, ())) for m, a in dj]
-                       + [(a, row_j.get(m, ())) for m, a in images.get(k, ())])
-
-
-def _sums(terms: Iterable[tuple[int, Fraction, Pairs]]) -> Sums:
+def _sums(terms: Iterable[tuple[int, object, Pairs]]) -> Sums:
     """k -> the sum of a * pairs over the terms (k, a, pairs)."""
     sums: Sums = defaultdict(dict)
     for k, a, pairs in terms:
@@ -306,6 +265,33 @@ def _sums(terms: Iterable[tuple[int, Fraction, Pairs]]) -> Sums:
         for t, e in pairs:
             acc[t] = acc[t] + a * e if t in acc else a * e
     return sums
+
+
+# The walks below take index rows: maps from an index to its nonzero
+# (t, c) pairs, such as ``nonzero[i]`` (j -> b_i.b_j) or the columns of a
+# map (m -> d(b_m)).  They take any number type.
+
+def _through(outer: Mapping[int, Pairs], inner: Mapping[int, Pairs]) -> Sums:
+    """k -> sum_m inner[k]_m * outer[m]: with outer = nonzero[i] and
+    inner = nonzero[j], A(i, j, k) = b_i(b_j.b_k)."""
+    return _sums((k, a, outer[m]) for k, pairs in inner.items()
+                 for m, a in pairs if m in outer)
+
+
+def _times(nonzero: Sequence[Mapping[int, Pairs]], v: Pairs) -> Sums:
+    """k -> v.b_k for v given by its nonzero (m, a) pairs: with
+    v = b_i.b_j, B(i, j, k) = (b_i.b_j).b_k."""
+    return _sums((k, a, pairs) for m, a in v for k, pairs in nonzero[m].items())
+
+
+def _defects(lhs: Sums, a: Sums, b: Sums) -> Iterator[tuple[int, dict, dict]]:
+    """Each k where lhs[k] != a[k] + b[k], with lhs[k] and that sum."""
+    for k in lhs.keys() | a.keys() | b.keys():
+        left, rhs = lhs.get(k, {}), dict(a.get(k, {}))
+        for t, e in b.get(k, {}).items():
+            rhs[t] = rhs[t] + e if t in rhs else e
+        if left != rhs and any(left.get(t, 0) != rhs.get(t, 0) for t in left.keys() | rhs.keys()):
+            yield k, left, rhs
 
 
 def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
@@ -316,40 +302,53 @@ def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     defect at (i, j, k) is A(i, j, k) - A(j, i, k) - B(i, j, k), and at
     (i, i, k) it is -B(i, i, k).  So the sums of a pair {i, j} serve both
     orders; a pair is visited if both left multiplications are nonzero
-    or one of b_i.b_j and b_j.b_i is."""
+    or one of b_i.b_j and b_j.b_i is.  The identity at (i, j, k) is the
+    derivation law at (j, k) for d = L_{b_i}, and ``is_derivation`` walks
+    it through the same sums."""
     n = alg.dim
     nonzero = alg.table.nonzero
     violations = []
 
-    def left(i: int, j: int) -> Sums:  # k -> A(i, j, k)
-        row_i = nonzero[i]
-        return _sums((k, a, row_i[m]) for k, pairs in nonzero[j].items()
-                     for m, a in pairs if m in row_i)
-
-    def right(i: int, j: int) -> Sums:  # k -> B(i, j, k)
-        return _sums((k, a, pairs) for m, a in nonzero[i].get(j, ())
-                     for k, pairs in nonzero[m].items())
-
-    def report(i: int, j: int, lhs: Sums, ji: Sums, ij: Sums) -> None:  # where lhs != ji + ij
-        for k in lhs.keys() | ji.keys() | ij.keys():
-            a, rhs = lhs.get(k, {}), dict(ji.get(k, {}))
-            for t, e in ij.get(k, {}).items():
-                rhs[t] = rhs[t] + e if t in rhs else e
-            if a != rhs and any(a.get(t, _ZERO) != rhs.get(t, _ZERO) for t in a.keys() | rhs.keys()):
-                violations.append(Violation(i, j, k, *(tuple(v.get(t, _ZERO) for t in range(n))
-                                                       for v in (a, rhs))))
+    def report(i: int, j: int, lhs: Sums, ji: Sums, ij: Sums) -> None:
+        violations.extend(Violation(i, j, k, *(tuple(v.get(t, _ZERO) for t in range(n))
+                                               for v in sides))
+                          for k, *sides in _defects(lhs, ji, ij))
 
     active = [i for i, row in enumerate(nonzero) if row]
     for p, i in enumerate(active):
-        square = right(i, i)
+        square = _times(nonzero, nonzero[i].get(i, ()))
         if any(any(acc.values()) for acc in square.values()):
-            report(i, i, diagonal := left(i, i), diagonal, square)
+            report(i, i, diagonal := _through(nonzero[i], nonzero[i]), diagonal, square)
         for j in active[p + 1:] + [j for j in nonzero[i] if not nonzero[j]]:
-            ij, ji = left(i, j), left(j, i)
-            report(i, j, ij, ji, right(i, j))
-            report(j, i, ji, ij, right(j, i))
+            ij = _through(nonzero[i], nonzero[j])
+            # A(j, i, .) is zero when b_j multiplies everything to zero
+            ji = _through(nonzero[j], nonzero[i]) if nonzero[j] else {}
+            report(i, j, ij, ji, _times(nonzero, nonzero[i].get(j, ())))
+            report(j, i, ji, ij, _times(nonzero, nonzero[j].get(i, ())))
     violations.sort()
     return ViolationReport(tuple(violations))
+
+
+def is_derivation(alg: LeibnizAlgebra, d: Matrix) -> bool:
+    """d(x.y) = d(x).y + x.d(y) on all basis pairs.
+
+    With images[m] = d(b_m), the law at (j, k) compares d(b_j.b_k) with
+    b_j.d(b_k) + d(b_j).b_k.  For images = ``nonzero[i]`` these are the
+    identity check's sums A(i, j, k), A(j, i, k) and B(i, j, k).
+    """
+    if (d.rows, d.cols) != (alg.dim, alg.dim):
+        raise ValueError("map dimension differs from algebra dimension")
+    nonzero = alg.table.nonzero
+    images: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)  # column m of d
+    for k, row in enumerate(d.nonzero):
+        for m, e in row:
+            images[m].append((k, e))
+    for j, row_j in enumerate(nonzero):
+        # only d(b_j).b_k can be nonzero when b_j multiplies everything to zero
+        lhs, dk = (_through(images, row_j), _through(row_j, images)) if row_j else ({}, {})
+        if any(_defects(lhs, dk, _times(nonzero, images.get(j, ())))):
+            return False
+    return True
 
 
 def is_lie(alg: LeibnizAlgebra) -> bool:

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import (
-    LeibnizAlgebra,
-    _derivation_failures,
-    left_multiplication,
-    product,
-)
+from .algebra import LeibnizAlgebra, left_multiplication, product
 from .exactlin import (
     Matrix,
     NotNilpotentError,
@@ -84,17 +79,6 @@ class NonConjugacyCertificate(NamedTuple):
     invariance_rows: tuple[InvarianceRow, ...]
     exp_checks: tuple[ExpCheck, ...]
     claim: str
-
-
-def is_derivation(alg: LeibnizAlgebra, d: Matrix) -> bool:
-    """d(x.y) = d(x).y + x.d(y) on all basis pairs."""
-    if (d.rows, d.cols) != (alg.dim, alg.dim):
-        raise ValueError("map dimension differs from algebra dimension")
-    images: dict[int, tuple] = {}   # column m of d as its (k, e) pairs
-    for k, row in enumerate(d.nonzero):
-        for m, e in row:
-            images[m] = images.get(m, ()) + ((k, e),)
-    return next(_derivation_failures(alg.table.nonzero, images), None) is None
 
 
 def inner_derivation(alg: LeibnizAlgebra, x) -> Matrix:

@@ -24,6 +24,8 @@ from .algebra import (
     LeibnizAlgebra,
     NotASubalgebraError,
     NotLieError,
+    Sums,
+    _through,
     is_lie,
     quotient,
     restrict_to_subalgebra,
@@ -116,23 +118,17 @@ def _abelian_complement(alg: LeibnizAlgebra, ideal: Subspace) -> Subspace:
     free, q, r = lifts.pivots, qalg.dim, ideal.dim
     at = {p: t for t, p in enumerate(ideal.pivots)}
     nonzero = alg.table.nonzero
+    basis = dict(enumerate(ideal.sparse_rows))  # m -> w_m as its (c, w) pairs
 
-    def at_pivots(terms) -> dict[int, Fraction]:
-        # the sum of w * pairs over terms (w, pairs), as {t: entry at p_t}
-        acc: dict[int, Fraction] = {}
-        for w, pairs in terms:
-            for k, e in pairs:
-                if k in at:
-                    acc[at[k]] = acc.get(at[k], _ZERO) + w * e
-        return acc
+    def pivot_entries(products: Sums) -> list[tuple[int, int, Fraction]]:
+        # (t, m, entry at p_t of products[m])
+        return [(at[k], m, x) for m, v in products.items() for k, x in v.items() if k in at]
 
-    # left[i] / right[i]: (t, m, entry at p_t of b_{f_i}·w_m / w_m·b_{f_i})
-    left = [[(t, m, x) for m, row in enumerate(ideal.sparse_rows)
-             for t, x in at_pivots((w, nonzero[f].get(c, ())) for c, w in row).items()]
-            for f in free]
-    right = [[(t, m, x) for m, row in enumerate(ideal.sparse_rows)
-              for t, x in at_pivots((w, nonzero[c].get(f, ())) for c, w in row).items()]
-             for f in free]
+    # left[i] / right[i]: (t, m, entry at p_t of b_{f_i}·w_m / w_m·b_{f_i}),
+    # the latter through column f_i of the table, c -> b_c·b_{f_i}
+    left = [pivot_entries(_through(nonzero[f], basis)) for f in free]
+    columns = [{c: row[f] for c, row in enumerate(nonzero) if f in row} for f in free]
+    right = [pivot_entries(_through(column, basis)) for column in columns]
 
     # unknowns: α_im flattened as i*r + m; equation (i, j, t) as {column: coefficient}
     rows, rhs = [], []
@@ -146,9 +142,9 @@ def _abelian_complement(alg: LeibnizAlgebra, ideal: Subspace) -> Subspace:
             for k, c in qalg.table.nonzero[i].get(j, ()):
                 for t in range(r):
                     eqs[t][k * r + t] -= c
-            defect = at_pivots([(1, nonzero[fi].get(fj, ()))])
+            defect = dict(nonzero[fi].get(fj, ()))
             rows += [tuple(eq.items()) for eq in eqs]
-            rhs += [-defect.get(t, _ZERO) for t in range(r)]
+            rhs += [-defect.get(p, _ZERO) for p in ideal.pivots]
     solved = solve_affine(Matrix._from_nonzero(len(rows), q * r, rows), tuple(rhs))
     if solved is None:
         raise NoSolutionError("correction system is inconsistent")

@@ -23,7 +23,6 @@ from leibnizalg import (
     soluble_radical,
 )
 from leibnizalg.algebra import (
-    _derivation_failures,
     left_multiplication,
     quotient,
     restrict_to_subalgebra,
@@ -204,15 +203,6 @@ def test_checker_matches_oracle_on_zoo_mutants(zoo, data):
 
 # --- the derivation law -------------------------------------------------
 
-def dense_sum(n, terms):
-    """The dense vector sum of a * pairs over a term list [(a, pairs), ...]."""
-    acc = [F(0)] * n
-    for a, pairs in terms:
-        for k, e in pairs:
-            acc[k] += a * e
-    return tuple(acc)
-
-
 def dense_derivation_failures(alg, d):
     """(j, k, d(b_j.b_k), d(b_j).b_k + b_j.d(b_k)) for each basis pair
     where the two sides differ, on dense vectors."""
@@ -263,32 +253,39 @@ def test_identity_is_the_derivation_law_of_left_multiplications(table):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_is_derivation_matches_dense_oracle(zoo, data):
-    # small valid algebras; random tables are in the next test
-    alg = data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 5]))
-    d = data.draw(maps_on(alg))
-    assert is_derivation(alg, d) == (not dense_derivation_failures(alg, d))
-
-
 @settings(max_examples=150, deadline=None)
 @given(random_tables(), st.data())
-def test_derivation_failures_match_dense_oracle(table, data):
-    """The walk yields every failing pair with both sides, not only
-    whether one fails.  On a sparse table many pairs are reached by only
-    one of the law's three terms, so a walk that skips such pairs fails
+def test_is_derivation_matches_dense_oracle(zoo, table, data):
+    """Each example checks a map on a small valid algebra and one on a
+    random table.  On a sparse table many pairs are reached by only one
+    of the law's three terms, so a walk that skips such pairs fails
     here."""
-    alg = LeibnizAlgebra(table, validate=False)
-    d = data.draw(maps_on(alg))
-    n = alg.dim
-    images = {m: pairs for m in range(n)
-              if (pairs := tuple((k, e) for k, e in enumerate(d.column(m)) if e))}
-    got = [(j, k, dense_sum(n, lhs), dense_sum(n, rhs))
-           for j, k, lhs, rhs in _derivation_failures(table.nonzero, images)]
-    expected = dense_derivation_failures(alg, d)
-    assert got == expected
-    assert is_derivation(alg, d) == (not expected)
+    for alg in (data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 5])),
+                LeibnizAlgebra(table, validate=False)):
+        d = data.draw(maps_on(alg))
+        assert is_derivation(alg, d) == (not dense_derivation_failures(alg, d))
+
+
+@pytest.mark.parametrize("term, products, rows, pair", [
+    # d(b_0.b_0) = d(b_1) = b_1, and d(b_0) = 0
+    (0, {(0, 0): {1: 1}}, [[0, 0], [0, 1]], (0, 0)),
+    # d(b_0).b_2 = b_1.b_2 = b_2, and b_0 multiplies everything to zero
+    (1, {(1, 2): {2: 1}}, [[0, 0, 0], [1, 0, 0], [0, 0, 0]], (0, 2)),
+    # b_0.d(b_0) = b_0.b_1 = b_1, and b_1 multiplies everything to zero
+    (2, {(0, 1): {1: 1}}, [[0, 0], [1, 0]], (0, 0)),
+], ids=["d_of_product", "image_times_basis", "basis_times_image"])
+def test_is_derivation_fails_where_one_term_alone_is_nonzero(term, products, rows, pair):
+    """The law fails at one basis pair only, where the one term of
+    d(b_j.b_k), d(b_j).b_k and b_j.d(b_k) that is nonzero is ``term``."""
+    d = Matrix.from_rows(rows)
+    alg = LeibnizAlgebra(StructureTable.from_map(d.rows, products), validate=False)
+    j, k = pair
+    bj, bk = alg.basis_vector(j), alg.basis_vector(k)
+    terms = (d.apply(dense_product(alg, bj, bk)), dense_product(alg, d.column(j), bk),
+             dense_product(alg, bj, d.column(k)))
+    assert [any(v) for v in terms] == [t == term for t in range(3)]
+    assert [f[:2] for f in dense_derivation_failures(alg, d)] == [pair]
+    assert not is_derivation(alg, d)
 
 
 # --- product ------------------------------------------------------------
@@ -352,11 +349,17 @@ def test_single_entry_mutation_is_caught(sl2, bundle_sl2):
     assert_checker_matches_oracle(bundle_mutant)
 
 
-def test_padding_with_zero_basis_vectors_does_not_multiply_the_walk():
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda alg, d: check_left_leibniz(alg).ok, id="check_left_leibniz"),
+    pytest.param(is_derivation, id="is_derivation"),
+])
+def test_padding_with_zero_basis_vectors_does_not_multiply_the_walk(check):
     """The sl5 bundle embedded in dim MAX_DIM: 80 basis vectors with zero
     products add no work to the walk, which follows the nonzero
-    products.  CPU times are the best of three in this process, the two
-    walks alternating so that both see the same machine load."""
+    products.  ``is_derivation`` checks the inner derivation of a seeded
+    x, the same map on both.  CPU times are the best of three in this
+    process, the two walks alternating so that both see the same machine
+    load."""
     bundle = counterexample("sl5").L
     padded = LeibnizAlgebra(StructureTable.from_map(MAX_DIM, {
         (i, j): dict(pairs)
@@ -364,13 +367,16 @@ def test_padding_with_zero_basis_vectors_does_not_multiply_the_walk():
         for j, pairs in products.items()
     }), validate=False)
     assert padded.dim == MAX_DIM == 128
+    x = rational_vector(random.Random(5), bundle.dim)
+    cases = [(alg, left_multiplication(alg, x + (F(0),) * (alg.dim - bundle.dim)))
+             for alg in (bundle, padded)]
     best = [math.inf, math.inf]
     for _ in range(3):
-        for side, alg in enumerate((bundle, padded)):
+        for side, (alg, d) in enumerate(cases):
             start = time.process_time()
-            report = check_left_leibniz(alg)
+            ok = check(alg, d)
             best[side] = min(best[side], time.process_time() - start)
-            assert report.ok
+            assert ok
     assert best[1] < 1.5 * best[0]
 
 
