@@ -338,17 +338,24 @@ def is_derivation(alg: LeibnizAlgebra, d: Matrix) -> bool:
     """
     if (d.rows, d.cols) != (alg.dim, alg.dim):
         raise ValueError("map dimension differs from algebra dimension")
-    nonzero = alg.table.nonzero
     images: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)  # column m of d
     for k, row in enumerate(d.nonzero):
         for m, e in row:
             images[m].append((k, e))
+    return not any(_derivation_failures(alg.table.nonzero, images))
+
+
+def _derivation_failures(nonzero: Sequence[Mapping[int, Pairs]],
+                         images: Mapping[int, Pairs]) -> Iterator[tuple[int, int, dict, dict]]:
+    """Each basis pair (j, k) where d(b_j.b_k) != d(b_j).b_k + b_j.d(b_k),
+    with both sides as {t: c} maps; j ascends, k in no fixed order.
+    ``images[m]`` is d(b_m) as its nonzero (t, c) pairs, with m omitted
+    where d(b_m) = 0."""
     for j, row_j in enumerate(nonzero):
         # only d(b_j).b_k can be nonzero when b_j multiplies everything to zero
         lhs, dk = (_through(images, row_j), _through(row_j, images)) if row_j else ({}, {})
-        if any(_defects(lhs, dk, _times(nonzero, images.get(j, ())))):
-            return False
-    return True
+        for k, left, rhs in _defects(lhs, dk, _times(nonzero, images.get(j, ()))):
+            yield j, k, left, rhs
 
 
 def is_lie(alg: LeibnizAlgebra) -> bool:

@@ -23,6 +23,7 @@ from leibnizalg import (
     soluble_radical,
 )
 from leibnizalg.algebra import (
+    _derivation_failures,
     left_multiplication,
     quotient,
     restrict_to_subalgebra,
@@ -253,17 +254,32 @@ def test_identity_is_the_derivation_law_of_left_multiplications(table):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_derivation_matches_dense_oracle(zoo, data):
+    # small valid algebras; random tables are in the next test
+    alg = data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 5]))
+    d = data.draw(maps_on(alg))
+    assert is_derivation(alg, d) == (not dense_derivation_failures(alg, d))
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_tables(), st.data())
-def test_is_derivation_matches_dense_oracle(zoo, table, data):
-    """Each example checks a map on a small valid algebra and one on a
-    random table.  On a sparse table many pairs are reached by only one
-    of the law's three terms, so a walk that skips such pairs fails
+def test_derivation_failures_match_dense_oracle(table, data):
+    """The walk yields every failing pair with both sides, not only
+    whether one fails.  On a sparse table many pairs are reached by only
+    one of the law's three terms, so a walk that skips such pairs fails
     here."""
-    for alg in (data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 5])),
-                LeibnizAlgebra(table, validate=False)):
-        d = data.draw(maps_on(alg))
-        assert is_derivation(alg, d) == (not dense_derivation_failures(alg, d))
+    alg = LeibnizAlgebra(table, validate=False)
+    d = data.draw(maps_on(alg))
+    n = alg.dim
+    images = {m: pairs for m in range(n)
+              if (pairs := tuple((k, e) for k, e in enumerate(d.column(m)) if e))}
+    got = sorted((j, k, *(tuple(side.get(t, F(0)) for t in range(n)) for side in sides))
+                 for j, k, *sides in _derivation_failures(table.nonzero, images))
+    expected = dense_derivation_failures(alg, d)
+    assert got == expected
+    assert is_derivation(alg, d) == (not expected)
 
 
 @pytest.mark.parametrize("term, products, rows, pair", [
