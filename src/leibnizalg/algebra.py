@@ -25,7 +25,9 @@ from .exactlin import (
     _echelon,
     _fraction_repr,
     _Immutable,
+    _integer_rows,
     _make_primitive,
+    _null_rows,
     _scaled_row,
     as_scalar,
     as_vector,
@@ -294,19 +296,55 @@ def _defects(lhs: Sums, a: Sums, b: Sums) -> Iterator[tuple[int, dict, dict]]:
             yield k, left, rhs
 
 
+def _left_annihilator(table: StructureTable) -> Subspace:
+    """Ann = {a : a.y = 0 for all y}: the null space of the map
+    m -> (c[m][k][l])_{k,l}, one row per nonzero (k, l) of the index."""
+    columns: dict[tuple[int, int], list[tuple[int, Fraction]]] = defaultdict(list)
+    for m, products in enumerate(table.nonzero):
+        for k, pairs in products.items():
+            for t, e in pairs:
+                columns[k, t].append((m, e))
+    echelon = _echelon(_integer_rows(columns.values()))
+    return Subspace._from_echelon(table.dim, _echelon(_null_rows(echelon, table.dim)))
+
+
+def _modulo(v: Pairs, rows: Mapping[int, Pairs]) -> dict[int, Fraction]:
+    """v minus the multiple of each RREF row ``rows[p]`` (its pairs off
+    the pivot p) that clears coordinate p, as its nonzero {t: c}.  Only
+    the pivots v meets are read."""
+    acc: dict[int, Fraction] = {}
+    for t, a in v:
+        if t in rows:
+            for s, e in rows[t]:
+                acc[s] = acc[s] - a * e if s in acc else -a * e
+        else:
+            acc[t] = acc[t] + a if t in acc else a
+    return {t: a for t, a in acc.items() if a}
+
+
 def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     """Evaluate a(bc) = (ab)c + b(ac) on every basis triple; the report
     lists each failing one, in (i, j, k) order, with both sides as vectors.
 
-    With A(i, j, k) = b_i(b_j.b_k) and B(i, j, k) = (b_i.b_j).b_k, the
-    defect at (i, j, k) is A(i, j, k) - A(j, i, k) - B(i, j, k), and at
-    (i, i, k) it is -B(i, i, k).  So the sums of a pair {i, j} serve both
-    orders; a pair is visited if both left multiplications are nonzero
-    or one of b_i.b_j and b_j.b_i is.  The identity at (i, j, k) is the
-    derivation law at (j, k) for d = L_{b_i}, and ``is_derivation`` walks
-    it through the same sums."""
+    In operator form the identity is L_{ab} = [L_a, L_b].  With
+    A(i, j, k) = b_i(b_j.b_k) and B(i, j, k) = (b_i.b_j).b_k, the defect
+    at (i, j, k) is A(i, j, k) - A(j, i, k) - B(i, j, k), and at (i, i, k)
+    it is -B(i, i, k).  L_x depends only on x modulo the left annihilator
+    Ann, so each product is reduced modulo Ann's RREF rows, and the
+    reduction r is zero exactly on Ann.  Adding the identity at (i, j, k)
+    and (j, i, k) gives L_{b_i.b_j + b_j.b_i} = 0, so the pair {i, j}
+    passes in both orders iff A(i, j, .) - A(j, i, .) = B(i, j, .) and
+    r(b_j.b_i) = -r(b_i.b_j); B(j, i, .) is formed only for the report of
+    a failing pair.  The diagonal passes iff r(b_i.b_i) = 0.  A pair is
+    visited if both left multiplications are nonzero or one of b_i.b_j
+    and b_j.b_i is.  The identity at (i, j, k) is the derivation law at
+    (j, k) for d = L_{b_i}, which ``is_derivation`` walks through the
+    same helpers on unreduced sums."""
     n = alg.dim
     nonzero = alg.table.nonzero
+    ann = _left_annihilator(alg.table)
+    rows = {p: tuple((t, e) for t, e in row if t != p)
+            for p, row in zip(ann.pivots, ann.sparse_rows)}
     violations = []
 
     def report(i: int, j: int, lhs: Sums, ji: Sums, ij: Sums) -> None:
@@ -316,15 +354,20 @@ def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
 
     active = [i for i, row in enumerate(nonzero) if row]
     for p, i in enumerate(active):
-        square = _times(nonzero, nonzero[i].get(i, ()))
-        if any(any(acc.values()) for acc in square.values()):
-            report(i, i, diagonal := _through(nonzero[i], nonzero[i]), diagonal, square)
+        square = _modulo(nonzero[i].get(i, ()), rows)
+        if square:
+            report(i, i, diagonal := _through(nonzero[i], nonzero[i]), diagonal,
+                   _times(nonzero, square.items()))
         for j in active[p + 1:] + [j for j in nonzero[i] if not nonzero[j]]:
             ij = _through(nonzero[i], nonzero[j])
             # A(j, i, .) is zero when b_j multiplies everything to zero
             ji = _through(nonzero[j], nonzero[i]) if nonzero[j] else {}
-            report(i, j, ij, ji, _times(nonzero, nonzero[i].get(j, ())))
-            report(j, i, ji, ij, _times(nonzero, nonzero[j].get(i, ())))
+            v = _modulo(nonzero[i].get(j, ()), rows)
+            w = _modulo(nonzero[j].get(i, ()), rows)
+            found = len(violations)
+            report(i, j, ij, ji, _times(nonzero, v.items()))
+            if len(violations) > found or w != {t: -a for t, a in v.items()}:
+                report(j, i, ji, ij, _times(nonzero, w.items()))
     violations.sort()
     return ViolationReport(tuple(violations))
 

@@ -24,6 +24,7 @@ from leibnizalg import (
 )
 from leibnizalg.algebra import (
     _derivation_failures,
+    _left_annihilator,
     left_multiplication,
     quotient,
     restrict_to_subalgebra,
@@ -365,6 +366,16 @@ def test_single_entry_mutation_is_caught(sl2, bundle_sl2):
     assert_checker_matches_oracle(bundle_mutant)
 
 
+def padded_to_max_dim(alg):
+    """alg on its basis followed by MAX_DIM - dim basis vectors whose
+    products are all zero."""
+    return LeibnizAlgebra(StructureTable.from_map(MAX_DIM, {
+        (i, j): dict(pairs)
+        for i, products in enumerate(alg.table.nonzero)
+        for j, pairs in products.items()
+    }), validate=False)
+
+
 @pytest.mark.parametrize("check", [
     pytest.param(lambda alg, d: check_left_leibniz(alg).ok, id="check_left_leibniz"),
     pytest.param(is_derivation, id="is_derivation"),
@@ -372,16 +383,13 @@ def test_single_entry_mutation_is_caught(sl2, bundle_sl2):
 def test_padding_with_zero_basis_vectors_does_not_multiply_the_walk(check):
     """The sl5 bundle embedded in dim MAX_DIM: 80 basis vectors with zero
     products add no work to the walk, which follows the nonzero
-    products.  ``is_derivation`` checks the inner derivation of a seeded
-    x, the same map on both.  CPU times are the best of three in this
-    process, the two walks alternating so that both see the same machine
-    load."""
+    products.  They all lie in the left annihilator, and reducing a
+    product modulo it reads only the pivots the product meets.
+    ``is_derivation`` checks the inner derivation of a seeded x, the same
+    map on both.  CPU times are the best of three in this process, the
+    two walks alternating so that both see the same machine load."""
     bundle = counterexample("sl5").L
-    padded = LeibnizAlgebra(StructureTable.from_map(MAX_DIM, {
-        (i, j): dict(pairs)
-        for i, products in enumerate(bundle.table.nonzero)
-        for j, pairs in products.items()
-    }), validate=False)
+    padded = padded_to_max_dim(bundle)
     assert padded.dim == MAX_DIM == 128
     x = rational_vector(random.Random(5), bundle.dim)
     cases = [(alg, left_multiplication(alg, x + (F(0),) * (alg.dim - bundle.dim)))
@@ -430,6 +438,28 @@ def test_a_row_without_products_paired_with_one_that_has_some():
     assert (0, 2, 1) in [v[:3] for v in report.violations]
     assert_checker_matches_oracle(alg)
     assert_checker_matches_oracle(mutate_entry(alg, 1, 1, 2, 0))
+
+
+@pytest.mark.parametrize("products, failing", [
+    # x.y = y.x = y + z: [L_x, L_y] = L_y = L_{x.y}, but x.y + y.x = 2y + 2z
+    # is not in Ann = <z>, and (y.x).x + x(y.x) = 2y + 2z != y(x.x) = 0
+    ({(0, 1): {1: 1, 2: 1}, (1, 0): {1: 1, 2: 1}}, [(1, 0, 0)]),
+    # x.y = y.x = z and x.z = z: x.y + y.x = 2z is in Ann = <z>, but
+    # [L_x, L_y] sends x to x.z = z, while L_{x.y} = L_z = 0
+    ({(0, 1): {2: 1}, (1, 0): {2: 1}, (0, 2): {2: 1}}, [(0, 1, 0), (1, 0, 0)]),
+    # x.x = x + z is x modulo Ann = <z> and fails; y.y = z is 0 and passes
+    ({(0, 0): {0: 1, 2: 1}, (1, 1): {2: 1}}, [(0, 0, 0)]),
+], ids=["symmetric", "commutator", "square"])
+def test_each_test_modulo_the_annihilator_fails_alone(products, failing):
+    """x = b_0, y = b_1 and z = b_2 with z.z = z.x = z.y = 0, so the left
+    annihilator is <z>, and each product reaching z is reduced modulo it.
+    The pair {x, y} passes in both orders iff [L_x, L_y] = L_{x.y} and
+    x.y + y.x lies in Ann; the diagonal iff x.x does.  Each table breaks
+    just one of the three."""
+    alg = LeibnizAlgebra(StructureTable.from_map(3, products), validate=False)
+    assert _left_annihilator(alg.table) == Subspace(3, [[0, 0, 1]])
+    assert [v[:3] for v in check_left_leibniz(alg).violations] == failing
+    assert_checker_matches_oracle(alg)
 
 
 def dense_dim7(sl2, seed):
@@ -484,13 +514,18 @@ class CountingFraction(Fraction):
 
 
 def test_dense_walk_makes_each_composite_once(sl2):
-    """On a dense dim-7 table each unordered pair {i, j} forms its four
-    sums b_i(b_j.b_k), b_j(b_i.b_k), (b_i.b_j).b_k and (b_j.b_i).b_k, of
-    dim³ multiplications each, once, and the diagonal forms
-    (b_i.b_i).b_k, plus b_i(b_i.b_k) where it fails: at most 2·7⁵
-    constant multiplications, where a walk that forms b_i(b_j.b_k) at
-    both (i, j, k) and (j, i, k) makes 3·7⁵."""
+    """On a dense dim-7 table each unordered pair {i, j} forms
+    b_i(b_j.b_k) and b_j(b_i.b_k), of dim³ multiplications each, once,
+    and (b_i.b_j).b_k from b_i.b_j reduced modulo the left annihilator
+    Ann, which has dim 3 here; (b_j.b_i).b_k and, on the diagonal,
+    b_i(b_i.b_k) are formed only where the pair fails.  That is at most
+    2·7⁵ constant multiplications on every table, where a walk that forms
+    b_i(b_j.b_k) at both (i, j, k) and (j, i, k) makes 3·7⁵.  On the
+    passing table it is at most (3·7⁵ - 7⁴)/2, which the pair walk that
+    formed all four sums of every pair, 2·7⁵ - 7⁴, exceeds."""
     alg = dense_dim7(sl2, 5)
+    assert _left_annihilator(alg.table).dim == 3
+    counts = []
     for table in [alg.table] + [m.table for m in seeded_mutants(alg, 6, 3)]:
         counting = LeibnizAlgebra(StructureTable.from_map(7, {
             (i, j): {k: CountingFraction(e) for k, e in pairs}
@@ -502,6 +537,78 @@ def test_dense_walk_makes_each_composite_once(sl2):
         report = check_left_leibniz(counting)
         assert 0 < CountingFraction.calls <= 2 * 7 ** 5
         assert report == check_left_leibniz(LeibnizAlgebra(table, validate=False))
+        counts.append(CountingFraction.calls)
+    assert counts[0] <= (3 * 7 ** 5 - 7 ** 4) // 2 == 24_010
+
+
+def assert_annihilator_matches_dense(table):
+    """Each basis row x of ``_left_annihilator`` has x.b_k = 0 for every
+    k, read off the dense tensor, and there are n - rank(m -> c[m]) of
+    them, sympy's rank over the nonzero columns (k, l) of c[m][k][l]:
+    so they span every such x."""
+    n = table.dim
+    c = table.c
+    columns = sorted({(k, l) for plane in c for k, row in enumerate(plane)
+                      for l, e in enumerate(row) if e})
+    flat = [[c[m][k][l] for k, l in columns] for m in range(n)]
+    ann = _left_annihilator(table)
+    for x in ann.sparse_rows:
+        assert not any(sum(a * flat[m][col] for m, a in x) for col in range(len(columns)))
+    assert ann.dim == n - sympy_rank(row for row in flat if any(row))
+
+
+def test_left_annihilator_matches_its_dense_definition(zoo, sl2):
+    bundles = [counterexample(name).L for name in ("sl2", "so3", "sl3", "sl4", "sl5")]
+    padded = padded_to_max_dim(bundles[-1])
+    dense = dense_dim7(sl2, 5)
+    # b_3 of the sl2 bundle has a zero row; a nonzero b_3.b_0 takes it out of Ann
+    mutant = mutate_entry(bundles[0], 3, 0, 3, 1)
+    tables = ([alg.table for _, alg in zoo] + [b.table for b in bundles]
+              + [padded.table, dense.table, next(seeded_mutants(dense, 6, 1)).table, mutant.table])
+    for table in tables:
+        assert_annihilator_matches_dense(table)
+    assert _left_annihilator(padded.table).dim == _left_annihilator(bundles[-1].table).dim + 80
+    assert _left_annihilator(mutant.table).dim == _left_annihilator(bundles[0].table).dim - 1
+
+
+@st.composite
+def planted_annihilators(draw, alg):
+    """alg with one or two basis vectors z_c planted in its left
+    annihilator, after a seeded dense change of basis, and in half the
+    draws one entry then moved by 1; returns (algebra, whether moved).
+
+    Each product x.y gains f_c(x.y) z_c for drawn linear forms f_c, and
+    z_c multiplies everything to zero from either side; the identity
+    holds since f_c is linear.  So products reach Ann, and after the
+    change of basis Ann is no span of basis vectors.  ``random_tables()``
+    almost never draws a table whose left annihilator is nonzero."""
+    m = alg.dim
+    forms = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                          min_size=1, max_size=2))
+    n = m + len(forms)
+    products = {}
+    for i, row in enumerate(alg.table.nonzero):
+        for j, pairs in row.items():
+            products[i, j] = dict(pairs) | {m + c: sum(f[t] * e for t, e in pairs)
+                                             for c, f in enumerate(forms)}
+    planted = LeibnizAlgebra(StructureTable.from_map(n, products), validate=False)
+    g = random_invertible(random.Random(draw(st.integers(0, 2 ** 16))), n)
+    moved = change_basis(planted, g, matrix_inverse(g), validate=False)
+    if not draw(st.booleans()):
+        return moved, False
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    return mutate_entry(moved, i, j, k, moved.table.c[i][j][k] + 1), True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checker_matches_oracle_with_a_planted_left_annihilator(zoo, data):
+    alg = data.draw(st.sampled_from([a for _, a in zoo if a.dim <= 4]))
+    planted, mutated = data.draw(planted_annihilators(alg))
+    assert_checker_matches_oracle(planted)
+    if not mutated:
+        assert check_left_leibniz(planted).ok
+        assert _left_annihilator(planted.table).dim > _left_annihilator(alg.table).dim
 
 
 def test_mutation_sensitivity_seeded(sl2):
