@@ -5,9 +5,10 @@ constants c[i][j][k] with b_i . b_j = sum_k c[i][j][k] b_k, held only as
 an index of the nonzero ones.  Tables are built straight into it, and
 products, the identity check and the other walks over the table iterate
 it, so their cost follows the number of nonzero products rather than a
-power of the dimension.  Products and subspace products run on integers,
-through a copy of the index scaled per coordinate.  Antisymmetry is never
-assumed; Lie algebras are the special case where it holds.
+power of the dimension.  Every product of two vectors, single or of
+subspace rows, goes through one kernel (``_products``) that runs on
+integers, through a copy of the index scaled per coordinate.  Antisymmetry
+is never assumed; Lie algebras are the special case where it holds.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -27,6 +29,7 @@ from .exactlin import (
     _Immutable,
     _integer_rows,
     _make_primitive,
+    _modulo,
     _null_rows,
     _scaled_row,
     as_scalar,
@@ -232,31 +235,47 @@ class LeibnizAlgebra(_Immutable):
 
 
 def product(alg: LeibnizAlgebra, x: Sequence[object], y: Sequence[object]) -> Vector:
-    """Bilinear extension of the table: (x.y)_k = sum_{i,j} x_i y_j c[i][j][k].
-
-    Runs on integers: with x = X/dx and y = Y/dy, coordinate k is
-    sum X_i Y_j (c[i][j][k] * den[k]) over dx * dy * den[k].
-    """
+    """Bilinear extension of the table: (x.y)_k = sum_{i,j} x_i y_j c[i][j][k]."""
     xv = as_vector(x)
     yv = as_vector(y)
     n = alg.dim
     if len(xv) != n or len(yv) != n:
         raise ValueError("vector length differs from algebra dimension")
-    dx, xs = _scaled_row([(i, a) for i, a in enumerate(xv) if a])
-    dy, ys = _scaled_row([(j, a) for j, a in enumerate(yv) if a])
-    y_at = dict(ys)
-    acc = [0] * n
-    scaled = alg.table.scaled
-    for i, xi in xs:
-        for j, pairs in scaled[i].items():
-            yj = y_at.get(j)
-            if yj:
-                f = xi * yj
-                for k, e in pairs:
-                    acc[k] += f * e
-    d = dx * dy
-    den = alg.table.den
-    return tuple(Fraction(a, d * den[k]) if a else _ZERO for k, a in enumerate(acc))
+    (v,) = _rational_products(alg.table, [list(compress(enumerate(xv), xv))],
+                              [list(compress(enumerate(yv), yv))])
+    return tuple(v.get(k, _ZERO) for k in range(n))
+
+
+def _products(table: StructureTable, xs: Iterable[Sequence[tuple[int, Fraction]]],
+              ys: Iterable[Sequence[tuple[int, Fraction]]]) -> Iterator[tuple[int, dict[int, int]]]:
+    """(d, s) for each x of xs and, inside that, each y of ys, given as
+    their nonzero (i, c) pairs: coordinate k of x.y is s[k] / (d * den[k]).
+    Each row is scaled to integers once, X = dx * x and Y = dy * y, so
+    s[k] = sum X_i Y_j (c[i][j][k] * den[k]) and d = dx * dy."""
+    scaled = table.scaled
+    y_rows = [_scaled_row(y) for y in ys]
+    for x in xs:
+        dx, xs_scaled = _scaled_row(x)
+        x_terms = [(scaled[i], xi) for i, xi in xs_scaled]
+        for dy, y in y_rows:
+            acc: dict[int, int] = {}
+            for row_i, xi in x_terms:
+                for j, yj in y:
+                    pairs = row_i.get(j)
+                    if pairs:
+                        f = xi * yj
+                        for k, e in pairs:
+                            acc[k] = acc.get(k, 0) + f * e
+            yield dx * dy, acc
+
+
+def _rational_products(table: StructureTable, xs: Iterable[Sequence[tuple[int, Fraction]]],
+                       ys: Iterable[Sequence[tuple[int, Fraction]]]) -> Iterator[dict[int, Fraction]]:
+    """Each product of ``_products`` as its nonzero {k: c}, one Fraction
+    per nonzero coordinate."""
+    for d, acc in _products(table, xs, ys):
+        den = table.den  # read after ``scaled``, which builds it
+        yield {k: Fraction(a, d * den[k]) for k, a in acc.items() if a}
 
 
 def _sums(terms: Iterable[tuple[int, object, Pairs]]) -> Sums:
@@ -308,20 +327,6 @@ def _left_annihilator(table: StructureTable) -> Subspace:
     return Subspace._from_echelon(table.dim, _echelon(_null_rows(echelon, table.dim)))
 
 
-def _modulo(v: Pairs, rows: Mapping[int, Pairs]) -> dict[int, Fraction]:
-    """v minus the multiple of each RREF row ``rows[p]`` (its pairs off
-    the pivot p) that clears coordinate p, as its nonzero {t: c}.  Only
-    the pivots v meets are read."""
-    acc: dict[int, Fraction] = {}
-    for t, a in v:
-        if t in rows:
-            for s, e in rows[t]:
-                acc[s] = acc[s] - a * e if s in acc else -a * e
-        else:
-            acc[t] = acc[t] + a if t in acc else a
-    return {t: a for t, a in acc.items() if a}
-
-
 def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     """Evaluate a(bc) = (ab)c + b(ac) on every basis triple; the report
     lists each failing one, in (i, j, k) order, with both sides as vectors.
@@ -342,9 +347,7 @@ def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     same helpers on unreduced sums."""
     n = alg.dim
     nonzero = alg.table.nonzero
-    ann = _left_annihilator(alg.table)
-    rows = {p: tuple((t, e) for t, e in row if t != p)
-            for p, row in zip(ann.pivots, ann.sparse_rows)}
+    rows = _left_annihilator(alg.table)._off_pivot()
     violations = []
 
     def report(i: int, j: int, lhs: Sums, ji: Sums, ij: Sums) -> None:
@@ -416,16 +419,11 @@ def left_multiplication(alg: LeibnizAlgebra, a: Sequence[object]) -> Matrix:
     av = as_vector(a)
     if len(av) != alg.dim:
         raise ValueError("vector length differs from algebra dimension")
-    n = alg.dim
-    nonzero = alg.table.nonzero
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for i, ai in enumerate(av):
-        if not ai:
-            continue
-        for j, pairs in nonzero[i].items():
-            for k, e in pairs:
-                rows[k][j] = rows[k].get(j, _ZERO) + ai * e
-    return Matrix._from_nonzero(n, n, [row.items() for row in rows])
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(alg.dim)]
+    for j, column in _times(alg.table.nonzero, compress(enumerate(av), av)).items():
+        for k, e in column.items():
+            rows[k].append((j, e))
+    return Matrix._from_nonzero(alg.dim, alg.dim, rows)
 
 
 def _scaled_span(table: StructureTable, sums: Iterable[Mapping[int, int]]) -> Subspace:
@@ -448,29 +446,13 @@ def _scaled_span(table: StructureTable, sums: Iterable[Mapping[int, int]]) -> Su
 def subspace_product(alg: LeibnizAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Canonical span of all products of basis vectors of u with those of v.
 
-    Multiplies the sparse basis rows, scaled to integers, pairwise
-    through the table's ``scaled`` index.
+    The integer sums of ``_products`` over the sparse basis rows go
+    straight to the elimination.
     """
     if u.ambient_dim != alg.dim or v.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
-    scaled = alg.table.scaled
-    v_rows = [_scaled_row(y)[1] for y in v.sparse_rows]
-
-    def products() -> Iterator[dict[int, int]]:
-        for x in u.sparse_rows:
-            x_terms = [(scaled[i], xi) for i, xi in _scaled_row(x)[1]]
-            for y in v_rows:
-                acc: dict[int, int] = {}
-                for row_i, xi in x_terms:
-                    for j, yj in y:
-                        pairs = row_i.get(j)
-                        if pairs:
-                            f = xi * yj
-                            for k, e in pairs:
-                                acc[k] = acc.get(k, 0) + f * e
-                yield acc
-
-    return _scaled_span(alg.table, products())
+    return _scaled_span(alg.table, (acc for _, acc in _products(alg.table, u.sparse_rows,
+                                                                   v.sparse_rows)))
 
 
 def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Subspace]:
@@ -511,22 +493,22 @@ def restrict_to_subalgebra(alg: LeibnizAlgebra, u: Subspace) -> LeibnizAlgebra:
     """The algebra induced on a subalgebra's canonical basis.
 
     Coordinates of the restricted algebra are coefficients over u's RREF
-    basis rows; map them back with ``embed_rows(u, rows)``.  Like
-    ``quotient``, the result is built without rechecking the identity.
+    basis rows, read off each product at u's pivots; map them back with
+    ``embed_rows(u, rows)``.  Like ``quotient``, the result is built
+    without rechecking the identity.
     Raises NotASubalgebraError at the first basis product outside u.
     """
     if u.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
-    rows = u.rows()
+    rows = u._off_pivot()
+    pairs = ((a, b) for a in range(u.dim) for b in range(u.dim))
     products = {}
-    for a, x in enumerate(rows):
-        for b, y in enumerate(rows):
-            coords = u.coordinates(product(alg, x, y))
-            if coords is None:
-                raise NotASubalgebraError("restriction to a subspace that is not a subalgebra")
-            products[(a, b)] = dict(enumerate(coords))
+    for ab, v in zip(pairs, _rational_products(alg.table, u.sparse_rows, u.sparse_rows)):
+        if _modulo(v.items(), rows):
+            raise NotASubalgebraError("restriction to a subspace that is not a subalgebra")
+        products[ab] = {t: v[p] for t, p in enumerate(u.pivots) if p in v}
     return LeibnizAlgebra(
-        StructureTable.from_map(len(rows), products),
+        StructureTable.from_map(u.dim, products),
         labels=[alg.labels[p] for p in u.pivots],
         validate=False,
     )

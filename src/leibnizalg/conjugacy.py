@@ -11,14 +11,16 @@ complement to the other.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import LeibnizAlgebra, left_multiplication, product
+from .algebra import LeibnizAlgebra, _rational_products, left_multiplication
 from .exactlin import (
     Matrix,
     NotNilpotentError,
     Subspace,
     Vector,
+    _modulo,
     apply_to_subspace,
     exp_nilpotent,
 )
@@ -89,29 +91,27 @@ def inner_derivation(alg: LeibnizAlgebra, x) -> Matrix:
 def invariance_check(alg: LeibnizAlgebra, u: Subspace) -> InvarianceReport:
     """Per basis element b: does left multiplication by b map u into u?
 
-    By linearity an all-pass report extends to every multiplier x.  The
-    failing row reported is the first in index order.
+    By linearity an all-pass report extends to every multiplier x.  Each
+    b times each sparse row of u goes through the product kernel and is
+    reduced modulo u's rows.  The failing row reported is the first in
+    index order.
     """
     if u.ambient_dim != alg.dim:
         raise ValueError("ambient dimension differs from algebra dimension")
-    rows = []
+    rows = u._off_pivot()
+    products = _rational_products(alg.table, [((i, Fraction(1)),) for i in range(alg.dim)],
+                                  u.sparse_rows)
+    report = []
     for i in range(alg.dim):
-        b = alg.basis_vector(i)
-        failing = next(
-            (t for t, r in enumerate(u.rows()) if not u.contains(product(alg, b, r))),
-            None,
-        )
-        rows.append(InvarianceRow(
-            basis_index=i,
-            label=alg.labels[i],
-            passed=failing is None,
-            failing_row=failing,
-        ))
-    return InvarianceReport(tuple(rows))
+        leaving = [bool(_modulo(next(products).items(), rows)) for _ in range(u.dim)]
+        failing = leaving.index(True) if any(leaving) else None
+        report.append(InvarianceRow(i, alg.labels[i], failing is None, failing))
+    return InvarianceReport(tuple(report))
 
 
 def _separating_vector(s: Subspace, s1: Subspace) -> Vector | None:
-    return next((r for r in s1.rows() if not s.contains(r)), None)
+    rows = s._off_pivot()
+    return next((v for r, v in zip(s1.sparse_rows, s1.rows()) if _modulo(r, rows)), None)
 
 
 def non_conjugacy_certificate(alg: LeibnizAlgebra, s: Subspace,

@@ -15,7 +15,8 @@ reduced by fraction-free row operations with the gcd content removed
 after every step.  Fractions are made only when the result is written
 back, one division by the pivot entry per entry.  The RREF is unique, so
 this gives the same bases, pivots and solutions as Gauss-Jordan over
-Fractions.
+Fractions.  Every membership and coordinates test goes through one sparse
+reduction (``_modulo``) of a vector modulo a subspace's RREF rows.
 
 ``Matrix`` is the one type for linear maps.  Matrix-vector products
 (``Matrix.apply``, and through it ``apply_to_subspace``) run on integers
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import factorial, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -442,30 +443,29 @@ class Subspace(_Immutable):
         """The basis rows as their nonzero (column, value) pairs."""
         return self.basis.nonzero
 
-    def _eliminate(self, v: Sequence[object]) -> tuple[Vector, list[Fraction]]:
-        """(coefficients of v on the basis rows, residual of v)."""
-        w = list(as_vector(v))
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length differs from ambient dimension")
-        coeffs = tuple(w[p] for p in self.pivots)
-        for f, row in zip(coeffs, self.basis.nonzero):
-            if f:
-                for j, e in row:
-                    w[j] -= f * e
-        return coeffs, w
+    def _off_pivot(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+        """Each basis row, keyed by its pivot, without the leading 1 there:
+        the rows ``_modulo`` reduces by."""
+        return {p: row[1:] for p, row in zip(self.pivots, self.basis.nonzero)}
 
     def contains(self, v: Sequence[object]) -> bool:
-        return not any(self._eliminate(v)[1])
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence[object]) -> Vector | None:
-        """Coefficients of v over the basis rows, or None if v is outside."""
-        coeffs, w = self._eliminate(v)
-        return None if any(w) else coeffs
+        """Coefficients of v over the basis rows, or None if v is outside:
+        a vector of the span is fixed by its entries at the pivots."""
+        w = as_vector(v)
+        if len(w) != self.ambient_dim:
+            raise ValueError("vector length differs from ambient dimension")
+        if _modulo(compress(enumerate(w), w), self._off_pivot()):
+            return None
+        return tuple(w[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains(r) for r in other.rows())
+        rows = self._off_pivot()
+        return not any(_modulo(r, rows) for r in other.sparse_rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -478,6 +478,22 @@ class Subspace(_Immutable):
     def __repr__(self) -> str:
         rows = [list(map(scalar_to_str, r)) for r in self.basis.entries]
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}, rows={rows})"
+
+
+def _modulo(v: Iterable[tuple[int, Fraction]],
+            rows: Mapping[int, Sequence[tuple[int, Fraction]]]) -> dict[int, Fraction]:
+    """v minus the multiple of each RREF row ``rows[p]`` (its pairs off
+    the pivot p) that clears coordinate p, as its nonzero {t: c}: empty
+    exactly when v lies in the span.  v is (t, c) pairs, a t may repeat.
+    Only the pivots v meets are read, so the cost follows v's nonzeros."""
+    acc: dict[int, Fraction] = {}
+    for t, a in v:
+        if t in rows:
+            for s, e in rows[t]:
+                acc[s] = acc[s] - a * e if s in acc else -a * e
+        else:
+            acc[t] = acc[t] + a if t in acc else a
+    return {t: a for t, a in acc.items() if a}
 
 
 def solve_affine(a: Matrix, b: Sequence[object]) -> tuple[Vector, Subspace] | None:

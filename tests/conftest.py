@@ -49,12 +49,11 @@ def is_ideal(alg, u) -> bool:
 
 
 def dense_product(alg, x, y):
+    """x.y from the full tensor c, over every pair (i, j) with x_i y_j != 0."""
     n = alg.dim
     c = alg.table.c
-    return tuple(
-        sum((F(x[i]) * y[j] * c[i][j][k] for i in range(n) for j in range(n)), F(0))
-        for k in range(n)
-    )
+    terms = [(F(x[i]) * y[j], c[i][j]) for i in range(n) for j in range(n) if x[i] and y[j]]
+    return tuple(sum((f * row[k] for f, row in terms), F(0)) for k in range(n))
 
 
 def sympy_rank(rows):

@@ -16,9 +16,11 @@ from leibnizalg import (
     Subspace,
     check_left_leibniz,
     counterexample,
+    invariance_check,
     is_derivation,
     is_lie,
     leibniz_kernel,
+    leibniz_levi,
     product,
     soluble_radical,
 )
@@ -30,7 +32,7 @@ from leibnizalg.algebra import (
     restrict_to_subalgebra,
     subspace_product,
 )
-from leibnizalg.exactlin import Matrix, embed_rows, vec_add
+from leibnizalg.exactlin import Matrix, embed_rows, solve_affine, vec_add
 from leibnizalg.files import MAX_DIM
 from leibnizalg.sampling import rational_vector
 from leibnizalg.structure import is_semisimple
@@ -727,13 +729,42 @@ def assert_products_match_oracles(alg, x, y, u_rows, v_rows):
     assert all(got.contains(w) for w in dense)
 
 
+def assert_restriction_and_invariance_match_oracles(alg, u):
+    """The restricted table against dense products solved for their
+    coordinates over u's basis, and the invariance rows against a dense
+    loop that stops at the first product outside u."""
+    rows = u.rows()
+    basis = Matrix.from_rows([tuple(r[k] for r in rows) for k in range(alg.dim)], cols=u.dim)
+
+    def coordinates(v):
+        solved = solve_affine(basis, v)
+        return None if solved is None else solved[0]
+
+    restricted = restrict_to_subalgebra(alg, u)
+    assert [[restricted.table.row(a, b) for b in range(u.dim)] for a in range(u.dim)] == [
+        [coordinates(dense_product(alg, x, y)) for y in rows] for x in rows]
+    dense = []
+    for i in range(alg.dim):
+        b = alg.basis_vector(i)
+        failing = next((t for t, r in enumerate(rows)
+                        if coordinates(dense_product(alg, b, r)) is None), None)
+        dense.append((failing is None, failing))
+    assert [(r.passed, r.failing_row) for r in invariance_check(alg, u).rows] == dense
+
+
 @settings(max_examples=25, deadline=None)
 @given(leibniz_algebras(), st.data())
 def test_integer_products_match_oracles_on_leibniz_algebras(known, data):
+    """Products and subspace products on drawn vectors and spans, and the
+    restriction and invariance check on the radical and the complement
+    that ``leibniz_levi`` finds."""
     vectors = rational_vectors(known.alg.dim)
     spans = st.lists(vectors, max_size=3)
     assert_products_match_oracles(known.alg, data.draw(vectors), data.draw(vectors),
                                   data.draw(spans), data.draw(spans))
+    decomposition = leibniz_levi(known.alg)
+    for u in (decomposition.radical, decomposition.semisimple_part):
+        assert_restriction_and_invariance_match_oracles(known.alg, u)
 
 
 # Distinct primes, so pairwise coprime.

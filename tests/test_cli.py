@@ -3,6 +3,7 @@ determinism."""
 
 import json
 import re
+import sys
 import time
 import tracemalloc
 
@@ -11,6 +12,7 @@ import pytest
 from leibnizalg import (
     StructureTable,
     Subspace,
+    algebra,
     cli,
     counterexample,
     leibniz_levi,
@@ -166,6 +168,31 @@ def test_library_never_reads_the_dense_tensor(monkeypatch, capsys, tmp_path, bun
     )]
     assert codes == [0, 0, 0, 0, 0, 1]
     assert reads == []
+
+
+def test_only_the_analyze_spot_checks_make_dense_products(monkeypatch, capsys, tmp_path,
+                                                          bundle_sl3):
+    """Every other product goes through the sparse product kernel:
+    with ``product`` patched in every module that imports it, the
+    splitter, the certificate, the structure walks and the bundle builder
+    make no dense product, and ``analyze`` makes only its spot checks."""
+    dense, calls = algebra.product, []
+    holders = [module for name, module in sys.modules.items()
+               if name.partition(".")[0] == "leibnizalg" and vars(module).get("product") is dense]
+    assert {algebra, cli} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, "product", lambda *args: calls.append(args) or dense(*args))
+    path = tmp_path / "sl3.json"
+    dump_algebra(bundle_sl3.L, path)
+    alg = load_algebra(path)  # a fresh table: nothing cached
+    leibniz_levi(alg)
+    non_conjugacy_certificate(alg, bundle_sl3.S, bundle_sl3.S1)
+    structure.derived_series(alg, Subspace.full(alg.dim))
+    structure.is_semisimple(alg)
+    counterexample("sl3")
+    assert calls == []
+    assert run(capsys, "analyze", str(path))[0] == 0
+    assert len(calls) == cli._KERNEL_SPOT_TRIALS
 
 
 def test_dim_above_the_limit_is_rejected(capsys, tmp_path):

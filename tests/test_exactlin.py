@@ -659,6 +659,37 @@ def test_subspace_coordinates_roundtrip():
     assert u.coordinates([1, 0, 0]) is None
 
 
+@settings(max_examples=80, deadline=None)
+@given(matrices(4, 5), st.data())
+def test_membership_and_coordinates_match_sympy(m, data):
+    """One vector drawn as a rational combination of the spanning rows,
+    one drawn at random: v lies in the span exactly when appending it
+    leaves sympy's rank unchanged, and its coordinates rebuild it from
+    the basis rows."""
+    span = Subspace(m.cols, m.entries)
+    weights = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+    combination = tuple(sum((w * x for w, x in zip(weights, column)), F(0))
+                        for column in zip(*m.entries))
+    drawn = tuple(data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols)))
+    rank = to_sympy(m).rank()
+    for v in (combination, drawn):
+        inside = to_sympy(Matrix.from_rows(m.entries + (v,))).rank() == rank
+        coords = span.coordinates(v)
+        assert span.contains(v) == inside == (coords is not None)
+        if inside:
+            assert len(coords) == span.dim == rank
+            assert tuple(sum((c * row[j] for c, row in zip(coords, span.rows())), F(0))
+                         for j in range(m.cols)) == v
+
+
+@pytest.mark.parametrize("method", ["contains", "coordinates"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_membership_rejects_a_vector_of_the_wrong_length(method, length):
+    span = Subspace(3, [[1, 2, 0]])
+    with pytest.raises(ValueError, match="^vector length differs from ambient dimension$"):
+        getattr(span, method)([1] * length)
+
+
 # --- exponentials -------------------------------------------------------
 
 def test_exp_zero_is_identity():
