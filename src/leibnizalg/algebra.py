@@ -7,8 +7,9 @@ products, the identity check and the other walks over the table iterate
 it, so their cost follows the number of nonzero products rather than a
 power of the dimension.  Every product of two vectors, single or of
 subspace rows, goes through one kernel (``_products``) that runs on
-integers, through a copy of the index scaled per coordinate.  Antisymmetry
-is never assumed; Lie algebras are the special case where it holds.
+integers, through the index scaled per coordinate, which is the index
+itself when every constant is an integer.  Antisymmetry is never
+assumed; Lie algebras are the special case where it holds.
 """
 
 from __future__ import annotations
@@ -77,11 +78,12 @@ class ViolationReport(NamedTuple):
         return not self.violations
 
 
-# The nonzero (k, c) pairs of one basis product, in increasing k.
-Pairs = tuple[tuple[int, Fraction], ...]
+# The nonzero (k, c) pairs of one basis product, in increasing k; each c
+# an int or a Fraction (see StructureTable).
+Pairs = tuple[tuple[int, int | Fraction], ...]
 # The same pairs with each c scaled to an integer (see StructureTable).
 IntPairs = tuple[tuple[int, int], ...]
-Sums = dict[int, dict[int, Fraction]]  # k -> a sparse vector {t: coefficient}
+Sums = dict[int, dict[int, int | Fraction]]  # k -> a sparse vector {t: coefficient}
 
 
 class StructureTable(_Immutable):
@@ -90,11 +92,14 @@ class StructureTable(_Immutable):
     ``nonzero[i]`` maps each j with b_i . b_j != 0, in increasing j, to
     that product's nonzero (k, c) pairs, in increasing k.  It is the one
     stored form, built alike from a dense tensor and by ``from_map``, and
-    ``==`` and ``hash`` compare ``dim`` and it.  ``cache`` starts empty;
-    it holds what ``structure`` derives from the table alone.  ``scaled``
-    and ``den``, the integer form of the index, and ``c``, the dense dim³
-    tensor that ``repr`` shows, are built on first read; the library
-    never reads ``c`` or ``row``.
+    ``==`` and ``hash`` compare ``dim`` and it.  Each constant c is an
+    int when it is integral and a Fraction otherwise, however it was
+    given, so the walks over an integer table make no Fraction
+    arithmetic; ``row`` and ``c`` give Fractions.  ``cache`` starts
+    empty; it holds what ``structure`` derives from the table alone.
+    ``scaled`` and ``den``, the integer form of the index, and ``c``, the
+    dense dim³ tensor that ``repr`` shows, are built on first read; the
+    library never reads ``c`` or ``row``.
     """
 
     def __init__(self, dim: int, c: tuple[tuple[Vector, ...], ...]):
@@ -118,7 +123,7 @@ class StructureTable(_Immutable):
                     raise ValueError(f"target index {k} out of range")
                 e = as_scalar(coeff)
                 if e:
-                    pairs.append((k, e))
+                    pairs.append((k, e.numerator if e.denominator == 1 else e))
             if pairs:
                 index[i][j] = tuple(sorted(pairs))
         object.__setattr__(self, "dim", dim)
@@ -158,8 +163,10 @@ class StructureTable(_Immutable):
     @cached_property
     def scaled(self) -> tuple[dict[int, IntPairs], ...]:
         """``nonzero`` with each c[i][j][k] replaced by the integer
-        c[i][j][k] * den[k]."""
+        c[i][j][k] * den[k]: ``nonzero`` itself when every den[k] is 1."""
         den = self.den
+        if all(d == 1 for d in den):
+            return self.nonzero
         return tuple(
             {j: tuple((k, e.numerator * (den[k] // e.denominator)) for k, e in pairs)
              for j, pairs in products.items()}
@@ -179,12 +186,12 @@ class StructureTable(_Immutable):
 
     def row(self, i: int, j: int) -> Vector:
         """Coordinates of the basis product b_i . b_j: its stored
-        constants copied into a zero vector."""
+        constants copied into a zero vector, each as a Fraction."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"basis pair ({i},{j}) out of range")
         acc = [_ZERO] * self.dim
         for k, e in self.nonzero[i].get(j, ()):
-            acc[k] = e
+            acc[k] = e if isinstance(e, Fraction) else Fraction(e)
         return tuple(acc)
 
 
@@ -273,8 +280,8 @@ def _rational_products(table: StructureTable, xs: Iterable[Sequence[tuple[int, F
                        ys: Iterable[Sequence[tuple[int, Fraction]]]) -> Iterator[dict[int, Fraction]]:
     """Each product of ``_products`` as its nonzero {k: c}, one Fraction
     per nonzero coordinate."""
+    den = table.den
     for d, acc in _products(table, xs, ys):
-        den = table.den  # read after ``scaled``, which builds it
         yield {k: Fraction(a, d * den[k]) for k, a in acc.items() if a}
 
 
@@ -351,7 +358,8 @@ def check_left_leibniz(alg: LeibnizAlgebra) -> ViolationReport:
     violations = []
 
     def report(i: int, j: int, lhs: Sums, ji: Sums, ij: Sums) -> None:
-        violations.extend(Violation(i, j, k, *(tuple(v.get(t, _ZERO) for t in range(n))
+        # the sums of an integer table hold ints: as_vector makes Fractions
+        violations.extend(Violation(i, j, k, *(as_vector(v.get(t, _ZERO) for t in range(n))
                                                for v in sides))
                           for k, *sides in _defects(lhs, ji, ij))
 

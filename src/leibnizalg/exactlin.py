@@ -91,9 +91,9 @@ def _int_to_str(n: int) -> str:
         f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
 
 
-def scalar_to_str(x: Fraction) -> str:
-    """``str(x)``, also for numerators and denominators longer than the
-    interpreter's int-to-string limit."""
+def scalar_to_str(x: int | Fraction) -> str:
+    """``str(x)`` of an int or Fraction, also for numerators and
+    denominators longer than the interpreter's int-to-string limit."""
     if x.denominator == 1:
         return _int_to_str(x.numerator)
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"

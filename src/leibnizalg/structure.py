@@ -82,13 +82,14 @@ def killing_form(alg: LeibnizAlgebra) -> Matrix:
     # ad[i][s, r] = c[i][s][r], read off the index
     ad = [{(s, r): e for s, pairs in products.items() for r, e in pairs}
           for products in alg.table.nonzero]
-    # trace(ad b_i o ad b_j) = sum over s, r of c[i][s][r] * c[j][r][s]
+    # trace(ad b_i o ad b_j) = sum over s, r of c[i][s][r] * c[j][r][s],
+    # an int sum on an integer table
     gram: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             adj = ad[j]
-            gram[i][j] = gram[j][i] = sum(
-                (e * adj[r, s] for (s, r), e in ad[i].items() if (r, s) in adj), _ZERO)
+            gram[i][j] = gram[j][i] = Fraction(
+                sum(e * adj[r, s] for (s, r), e in ad[i].items() if (r, s) in adj))
     return Matrix._from_nonzero(n, n, [row.items() for row in gram])
 
 

@@ -1,9 +1,11 @@
 """Products, the identity checker, multiplication operators, subspace
 products, ideals, and quotients."""
 
+import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,10 +34,11 @@ from leibnizalg.algebra import (
     restrict_to_subalgebra,
     subspace_product,
 )
+from leibnizalg.conjugacy import inner_derivation
 from leibnizalg.exactlin import Matrix, embed_rows, solve_affine, vec_add
-from leibnizalg.files import MAX_DIM
+from leibnizalg.files import MAX_DIM, algebra_digest, serialize_algebra
 from leibnizalg.sampling import rational_vector
-from leibnizalg.structure import is_semisimple
+from leibnizalg.structure import is_semisimple, killing_form
 
 from conftest import (
     change_basis,
@@ -122,10 +125,13 @@ def random_tables(draw):
 # --- the nonzero index --------------------------------------------------
 
 def assert_index_matches_tensor(table):
-    """``nonzero`` is sorted, and ``c`` and ``row`` are its dense copies,
-    every entry a ``Fraction``."""
+    """``nonzero`` is sorted and holds an ``int`` exactly where the
+    constant is integral, a ``Fraction`` elsewhere, and ``c`` and ``row``
+    are its dense copies, every entry a ``Fraction``."""
     for i in range(table.dim):
         assert list(table.nonzero[i]) == sorted(table.nonzero[i])
+        assert all(type(e) is (int if e.denominator == 1 else Fraction)
+                   for pairs in table.nonzero[i].values() for _, e in pairs)
         for j in range(table.dim):
             row = table.row(i, j)
             assert row == table.c[i][j] and len(row) == table.dim
@@ -205,6 +211,138 @@ def test_checker_matches_oracle_on_zoo_mutants(zoo, data):
     assert_checker_matches_oracle(mutant)
 
 
+# --- integral constants: ints in the index, Fractions at the boundary -------
+
+# [x, y] = y + z/2: a Lie algebra whose index holds an int and a Fraction
+MIXED_LIE = StructureTable.from_map(3, {(0, 1): {1: 1, 2: F(1, 2)},
+                                        (1, 0): {1: -1, 2: F(-1, 2)}})
+
+
+def assert_fractions_at_the_boundary(alg, subalgebras=()):
+    """Everything the library hands out for alg holds Fractions, also
+    where the index stores ints: the dense views, a product, left
+    multiplications, the Killing form of alg and of its Lie quotient, the
+    tables of that quotient and of restrictions, a Levi decomposition and
+    each violation; and no repr writes ``int(``."""
+    n = alg.dim
+    vectors, reprs = [], [repr(alg.table)]
+
+    def rows_of(table):
+        reprs.append(repr(table))
+        return [table.row(i, j) for i in range(table.dim) for j in range(table.dim)]
+
+    vectors += rows_of(alg.table) + [row for plane in alg.table.c for row in plane]
+    x, y = list(range(1, n + 1)), [(-1) ** t for t in range(n)]
+    vectors.append(product(alg, x, y))
+    qalg, _ = quotient(alg, leibniz_kernel(alg))
+    maps = [left_multiplication(alg, x), inner_derivation(alg, y)]
+    maps += [killing_form(a) for a in (alg, qalg) if is_lie(a)]
+    for m in maps:
+        vectors += m.entries
+        reprs.append(repr(m))
+    for sub in (Subspace.full(n), *subalgebras):
+        vectors += rows_of(restrict_to_subalgebra(alg, sub).table)
+    vectors += rows_of(qalg.table)
+    report = check_left_leibniz(alg)
+    if report.ok:
+        decomposition = leibniz_levi(alg)
+        vectors += decomposition.semisimple_part.rows() + decomposition.radical.rows()
+    for v in report.violations:
+        vectors += [v.lhs, v.rhs]
+        reprs.append(repr(v))
+    assert all(type(e) is Fraction for v in vectors for e in v)
+    assert not any("int(" in r for r in reprs)
+    return report
+
+
+def test_fractions_at_the_boundary_of_integer_and_mixed_tables(bundle_sl2, bundle_sl3):
+    """The sl3 bundle, whose Levi part and Lie quotient are split here,
+    the sl2 bundle with e.h' = -2e' moved to -e', whose violation vectors
+    are sums of ints inside the walk, and a Lie table of ints and
+    Fractions, whose Killing form sums both."""
+    assert check_left_leibniz(bundle_sl3.L).ok
+    for bundle in (bundle_sl2, bundle_sl3):
+        table = bundle.L.table
+        assert_index_matches_tensor(table)
+        assert all(type(e) is int for row in table.nonzero for pairs in row.values()
+                   for _, e in pairs)
+        # every den[k] is 1, so the integer form is the index itself
+        assert table.den == (1,) * table.dim and table.scaled is table.nonzero
+    assert_fractions_at_the_boundary(bundle_sl3.L, (bundle_sl3.S, bundle_sl3.S1, bundle_sl3.K))
+    mutant = mutate_entry(bundle_sl2.L, 0, 4, 3, -1)
+    assert not assert_fractions_at_the_boundary(mutant, (bundle_sl2.K,)).ok
+    assert {type(e) for _, e in MIXED_LIE.nonzero[0][1]} == {int, Fraction}
+    mixed = LeibnizAlgebra(MIXED_LIE)
+    assert is_lie(mixed) and killing_form(mixed).entries[0][0] == 1
+    assert_fractions_at_the_boundary(mixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_tables())
+def test_fractions_at_the_boundary_of_random_tables(table):
+    assert_index_matches_tensor(table)
+    assert_fractions_at_the_boundary(LeibnizAlgebra(table, validate=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tables(), st.data())
+def test_one_index_however_the_constants_are_written(table, data):
+    """The same constants given as an int, a Fraction or an unreduced
+    string such as "4/2", through ``from_map`` or the dense constructor,
+    give the same index, element types included, hash, file and digest."""
+    n = table.dim
+
+    def spelling(e):
+        e = F(e)
+        forms = [e, f"{2 * e.numerator}/{2 * e.denominator}"]
+        return data.draw(st.sampled_from(forms + [e.numerator] * (e.denominator == 1)))
+
+    if data.draw(st.booleans()):
+        built = StructureTable.from_map(n, {
+            (i, j): {k: spelling(e) for k, e in pairs}
+            for i, row in enumerate(table.nonzero) for j, pairs in row.items()})
+    else:
+        built = StructureTable(n, tuple(tuple(tuple(map(spelling, row)) for row in plane)
+                                        for plane in table.c))
+
+    def typed(t):
+        return [[(j, [(k, e, type(e)) for k, e in pairs]) for j, pairs in row.items()]
+                for row in t.nonzero]
+
+    assert typed(built) == typed(table)
+    assert built == table and hash(built) == hash(table)
+    algs = [LeibnizAlgebra(t, validate=False) for t in (built, table)]
+    files = [json.dumps(serialize_algebra(a), sort_keys=True) for a in algs]
+    assert files[0] == files[1]
+    assert algebra_digest(algs[0]) == algebra_digest(algs[1])
+
+
+def test_integer_tables_make_no_fraction_arithmetic(monkeypatch):
+    """On the sl5 bundle every constant is stored as an int, so the
+    identity check, ``is_lie`` and ``killing_form`` of the Lie quotient
+    sl5 sum ints.  The walk's one Fraction arithmetic is the reduction of
+    products modulo the left annihilator Ann, whose RREF rows here are
+    basis vectors with nothing off the pivot.  With every constant a
+    Fraction the three made 11,504, 272 and 676 Fraction additions,
+    subtractions, multiplications and negations (``killing_form``'s
+    includes its ``is_lie``)."""
+    bundle = counterexample("sl5").L
+    lie, _ = quotient(bundle, leibniz_kernel(bundle))
+    assert not any(_left_annihilator(bundle.table)._off_pivot().values())
+    counts = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, lambda *args, f=getattr(Fraction, name), name=name:
+                            counts.update((name,)) or f(*args))
+    made = {}
+    for f, alg in ((check_left_leibniz, bundle), (is_lie, lie), (killing_form, lie)):
+        counts.clear()
+        f(alg)
+        made[f.__name__] = sum(counts.values())
+    monkeypatch.undo()
+    assert made == {"check_left_leibniz": 0, "is_lie": 0, "killing_form": 0}
+    assert check_left_leibniz(bundle).ok and is_lie(lie)
+
+
 # --- the derivation law -------------------------------------------------
 
 def dense_derivation_failures(alg, d):
@@ -231,17 +369,25 @@ def dense_derivation_failures(alg, d):
 
 @st.composite
 def maps_on(draw, alg):
-    """A plain map with a few small entries, or the inner derivation of a
-    random x, either one perhaps off by 1 in one entry.  On a valid
-    algebra inner derivations pass the derivation law, and their
-    perturbations mostly fail it."""
+    """A plain map with a few small entries, a map with a single nonzero
+    entry, or the inner derivation of a random x, each perhaps off by 1
+    in one entry.  On a valid algebra inner derivations pass the
+    derivation law, and their perturbations mostly fail it.  A single
+    entry d(b_m) = e b_t makes failures where one term alone is nonzero
+    common, such as d(b_j).b_k with b_j multiplying everything to zero."""
     n = alg.dim
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["inner", "plain", "single"]))
+    if kind == "inner":
         x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         rows = [list(r) for r in left_multiplication(alg, x).entries]
-    else:
+    elif kind == "plain":
         entries = st.sampled_from([0, 0, 0, 1, -1, 2])
         rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [[0] * n for _ in range(n)]
+        if n:
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from([1, -1, 2, F(1, 2)]))
     if n and draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
     return Matrix.from_rows(rows, cols=n)
@@ -859,7 +1005,8 @@ def test_den_and_scaled_are_built_once_per_table(monkeypatch, coprime_bundle):
     for _ in range(3):  # each product reads both
         product(alg, alg.basis_vector(0), alg.basis_vector(1))
         assert table.scaled and table.den
-    assert [name for name, _ in built] == ["scaled", "den"]
+    # each view once, in whichever order the first product reads them
+    assert sorted(name for name, _ in built) == ["den", "scaled"]
     assert all(owner is table for _, owner in built)
 
 
@@ -872,6 +1019,7 @@ def test_each_coordinate_has_its_own_denominator(coprime_bundle):
         assert table.den[k] in (1, COPRIME[k])
     # several coordinates have a denominator, and none carries the others'
     assert max(table.den) < math.lcm(*table.den)
+    assert table.scaled is not table.nonzero
     for i, products in enumerate(table.nonzero):
         assert list(table.scaled[i]) == list(products)
         for j, pairs in products.items():
